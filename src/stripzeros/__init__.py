@@ -29,7 +29,6 @@ from .zeros import (
     cartwright_integral_estimate,
     decompose_uniformly_discrete,
     load_zero_set,
-    lower_density_profile,
     save_zero_set,
     separation_constant,
     upper_density_profile,

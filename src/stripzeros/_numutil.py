@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -23,3 +24,18 @@ def evaluate_on_grid(f: Callable, xs: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(f(float(x))) for x in xs])
+
+
+def read_text(source) -> str:
+    """Contents of ``source``, a path or a readable text stream."""
+    if hasattr(source, "read"):
+        return source.read()
+    return Path(source).read_text()
+
+
+def write_text(target, text: str) -> None:
+    """Write ``text`` to ``target``, a path or a writable text stream."""
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        Path(target).write_text(text)

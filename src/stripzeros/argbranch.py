@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, TruncationError, VerificationError
-from .zeros import ZeroSet, blaschke_tail
+from .zeros import ZeroSet, blaschke_tail, window_count
 
 __all__ = [
     "ArgBranchValue",
@@ -47,6 +47,10 @@ __all__ = [
 # |phi_z(t)| <= TAIL_CONSTANT * |t| * y/|z|^2 once |z| > 2|t|; see phi_sum
 TAIL_CONSTANT = 2.0
 
+# block shape of the branch kernel: zeros x nodes, about 8 MB per temporary
+ZERO_BLOCK = 256
+NODE_BLOCK = 4096
+
 
 class ArgBranchValue(NamedTuple):
     """Branch value and where ``t`` sits relative to the swap point."""
@@ -57,11 +61,15 @@ class ArgBranchValue(NamedTuple):
 
 @dataclass(frozen=True)
 class PhiSumResult:
-    """Truncated branch sum with a certified bound for the omitted terms."""
+    """Truncated branch sum with a certified bound for the omitted terms.
 
-    value: float
+    ``value`` and ``tail_bound`` are floats for a scalar ``t`` and arrays
+    shaped like ``t`` otherwise.
+    """
+
+    value: float | np.ndarray
     truncation_radius: float
-    tail_bound: float
+    tail_bound: float | np.ndarray
 
 
 def _check_upper(z: complex) -> tuple[float, float]:
@@ -114,60 +122,69 @@ def phi_derivative(z: complex, t: float) -> float:
     return y * (x * x + y * y) / (d * d + y * y * t * t)
 
 
-def _phi_values(res: np.ndarray, ims: np.ndarray, t: float) -> np.ndarray:
-    """Branch values over arrays of zeros at a fixed ``t``."""
-    d = ims * ims + res * (res - t)
-    with np.errstate(divide="ignore"):
-        vals = np.arctan(ims * t / d)  # d == 0 gives +-pi/2 via arctan(+-inf)
-    neg = d < 0.0
-    if neg.any():
-        vals = vals + np.where(neg, np.where(res > 0.0, math.pi, -math.pi), 0.0)
-    return vals
+def _branch_sum(acc, res, ims, weights, ts, radii=None) -> np.ndarray:
+    """Add ``sum_z weights_z * phi_z(t)`` into ``acc`` at every node ``t``.
+
+    The zeros are ``res + i*ims``; ``acc`` has the shape of ``ts``.  Work
+    proceeds in blocks of at most ``ZERO_BLOCK`` zeros by ``NODE_BLOCK``
+    nodes, and blocks of zeros are added in order.  With ``radii`` (the
+    zeros' moduli) given, a branch correction at a zero with
+    ``|z| > 2|t|`` raises :class:`VerificationError`: the tail bound of
+    :func:`phi_sum` presumes there is none.
+    """
+    for j in range(0, ts.size, NODE_BLOCK):
+        t = ts[None, j : j + NODE_BLOCK]
+        for i in range(0, res.size, ZERO_BLOCK):
+            x = res[i : i + ZERO_BLOCK, None]
+            y = ims[i : i + ZERO_BLOCK, None]
+            # d = y*y + x*(x - t) and vals = arctan(y*t/d), built in place so
+            # that a block holds two large temporaries; the rounding is the same
+            d = x - t
+            d *= x
+            d += y * y
+            vals = y * t
+            with np.errstate(divide="ignore"):
+                vals /= d  # d == 0 gives +-pi/2 via arctan(+-inf)
+            np.arctan(vals, out=vals)
+            nonpos = d <= 0.0
+            if nonpos.any():
+                if radii is not None and (
+                    nonpos & (radii[i : i + ZERO_BLOCK, None] > 2.0 * np.abs(t))
+                ).any():
+                    raise VerificationError(
+                        "branch correction triggered beyond 2|t|; tail bound invalid"
+                    )
+                vals += np.where(d < 0.0, np.where(x > 0.0, math.pi, -math.pi), 0.0)
+            acc[j : j + NODE_BLOCK] += weights[i : i + ZERO_BLOCK] @ vals
+    return acc
 
 
-def _phi_grid(x: float, y: float, ts: np.ndarray) -> np.ndarray:
-    """Branch values of a single zero over a grid of ``t``."""
-    d = y * y + x * (x - ts)
-    with np.errstate(divide="ignore"):
-        vals = np.arctan(y * ts / d)
-    if x != 0.0:
-        neg = d < 0.0
-        if neg.any():
-            vals = vals + (math.pi if x > 0.0 else -math.pi) * neg
-    return vals
-
-
-def phi_sum(zs: ZeroSet, t: float, truncation_radius: float) -> PhiSumResult:
+def phi_sum(zs: ZeroSet, t, truncation_radius: float) -> PhiSumResult:
     """Multiplicity-weighted branch sum over ``|z| <= truncation_radius``.
 
-    For an omitted zero, ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``,
-    so no branch correction applies there and
-    ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the omitted terms are therefore bounded
-    by ``2*|t|`` times the truncation remainder of the summability series.
+    ``t`` is a scalar or an array of nodes.  For an omitted zero,
+    ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so no branch
+    correction applies there and ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the
+    omitted terms are therefore bounded by ``2*|t|`` times the truncation
+    remainder of the summability series.
     """
-    required = 2.0 * abs(t)
+    ts = np.asarray(t, dtype=float)
+    required = 2.0 * float(np.abs(ts).max())
     if not truncation_radius > required:
         raise TruncationError(
             f"truncation radius {truncation_radius} too small: "
             f"needs > 2|t| = {required}"
         )
     radii = np.hypot(zs.res, zs.ims)
-    mask = radii <= truncation_radius
-    if mask.any():
-        vals = _phi_values(zs.res[mask], zs.ims[mask], t)
-        # guard: the tail estimate presumes no correction beyond 2|t|
-        far = radii[mask] > required
-        if far.any():
-            d = zs.ims[mask] ** 2 + zs.res[mask] * (zs.res[mask] - t)
-            if (d[far] <= 0.0).any():
-                raise VerificationError(
-                    "branch correction triggered beyond 2|t|; tail bound invalid"
-                )
-        value = float(np.dot(zs.mults[mask], vals))
-    else:
-        value = 0.0
-    tail = TAIL_CONSTANT * abs(t) * blaschke_tail(zs, truncation_radius)
-    return PhiSumResult(value, float(truncation_radius), tail)
+    keep = radii <= truncation_radius
+    value = _branch_sum(
+        np.zeros(ts.size), zs.res[keep], zs.ims[keep], zs.mults[keep],
+        ts.ravel(), radii[keep],
+    )
+    tail = TAIL_CONSTANT * np.abs(ts) * blaschke_tail(zs, truncation_radius)
+    if ts.ndim == 0:
+        return PhiSumResult(float(value[0]), float(truncation_radius), float(tail))
+    return PhiSumResult(value.reshape(ts.shape), float(truncation_radius), tail)
 
 
 def default_truncation_radius(zs: ZeroSet, t_max: float) -> float:
@@ -193,7 +210,7 @@ def find_growth_window(
     c = growth_constant(zs.alpha, zs.beta)
     needed = target / c
     anchors = np.unique(np.concatenate((zs.res - 1.0, zs.res - 0.5, zs.res)))
-    counts = _counts_unit(zs, anchors)
+    counts = window_count(zs, anchors, 1.0)
     ok = np.nonzero(counts >= needed - 1e-12)[0]
     if ok.size == 0:
         return None
@@ -210,8 +227,3 @@ def find_growth_window(
         )
     return a
 
-
-def _counts_unit(zs: ZeroSet, anchors: np.ndarray) -> np.ndarray:
-    lo = np.searchsorted(zs.res, anchors, side="left")
-    hi = np.searchsorted(zs.res, anchors + 1.0, side="left")
-    return zs._cum[hi] - zs._cum[lo]

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .argbranch import default_truncation_radius, phi_sum, _phi_grid
+from ._numutil import write_text
+from .argbranch import _branch_sum, default_truncation_radius, phi_sum
 from .errors import InputFormatError, PreconditionError
 from .logmodel import theorem_divergence_scan
 from .hilbert import hilbert_transform_sampled
@@ -22,31 +21,11 @@ from .sampled import SampledFunction
 from .zeros import load_zero_set, save_zero_set, upper_density_profile
 from . import zoo
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its inputs and grid/estimation knobs."""
-
-    command: str
-    zeros_path: str | None = None
-    input_path: str | None = None
-    grid: tuple[float, float, int] | None = None
-    radii: list[float] = field(default_factory=list)
-    truncation: float | None = None
-    lengths: tuple[float, float] | None = None
-    thresholds: list[float] = field(default_factory=list)
-    model: str | None = None
-    k_list: list[int] = field(default_factory=list)
-    shift: float = 1.0
-    zero: tuple[float, float] | None = None
-    const: float | None = None
-    out: str | None = None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -65,155 +44,150 @@ def _parse_pair(text: str) -> tuple[float, float]:
         raise InputFormatError(f"bad range {text!r}, expected min:max") from None
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str | None) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v]
+        return [float(v) for v in (text or "").split(",") if v]
     except ValueError:
         raise InputFormatError(f"bad list {text!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _require_file(path: str) -> str:
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"no such file: {path}")
-    return path
+def _parse_ks(text: str | None) -> list[int]:
+    return [int(v) for v in _parse_floats(text)]
 
 
 def _load_zeros(path: str):
     """Load plain zero-set CSV/JSON or the offset-form delta variant."""
-    _require_file(path)
     with open(path) as fh:
         head = fh.readline()
-    if "delta-log3" in head:
-        model = zoo.load_delta_csv(path)
-        if model.zeros is None:
-            raise InputFormatError(
-                f"{path}: offset-form points carry im=0; export a shifted model"
-            )
-        return model.zeros
-    return load_zero_set(path)
+        fh.seek(0)
+        if "delta-log3" not in head:
+            return load_zero_set(fh)
+        model = zoo.load_delta_csv(fh)
+    if model.zeros is None:
+        raise InputFormatError(
+            f"{path}: offset-form points carry im=0; export a shifted model"
+        )
+    return model.zeros
 
 
-def _grid_template(config: RunConfig) -> SampledFunction:
-    if config.grid is None:
+def _grid_template(args: argparse.Namespace) -> SampledFunction:
+    if args.grid is None:
         raise InputFormatError("this command needs --grid t0:h:n")
-    t0, h, n = config.grid
+    t0, h, n = _parse_grid(args.grid)
     return SampledFunction(t0, h, np.zeros(n))
 
 
-def cmd_density(config: RunConfig) -> int:
-    if not config.zeros_path:
+def cmd_density(args: argparse.Namespace) -> int:
+    if not args.zeros:
         raise InputFormatError("density needs --zeros PATH")
-    if not config.radii:
+    radii = _parse_floats(args.radii)
+    if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
-    zs = _load_zeros(config.zeros_path)
-    profile = upper_density_profile(zs, config.radii)
+    profile = upper_density_profile(_load_zeros(args.zeros), radii)
     lines = ["r,sup_count,density,witness_x"]
     lines += [
         f"{e.r!r},{e.sup_count},{e.density!r},{e.witness!r}" for e in profile.entries
     ]
-    _emit("\n".join(lines) + "\n", config.out)
+    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_phi(config: RunConfig) -> int:
-    template = _grid_template(config)
-    ts = template.grid
-    if config.zero is not None:
-        x, y = config.zero
+def cmd_phi(args: argparse.Namespace) -> int:
+    ts = _grid_template(args).grid
+    if args.zero:
+        vals = _parse_floats(args.zero)
+        if len(vals) != 2:
+            raise InputFormatError(f"--zero needs X,Y, got {args.zero!r}")
+        x, y = vals
         if not y > 0:
             raise InputFormatError(f"--zero needs a positive imaginary part, got {y}")
-        values = _phi_grid(x, y, ts)
-        lines = ["t,phi"]
-        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, values)]
-    elif config.zeros_path:
-        zs = _load_zeros(config.zeros_path)
-        radius = config.truncation or default_truncation_radius(
-            zs, float(np.abs(ts).max())
+        values = _branch_sum(
+            np.zeros(ts.size), np.array([x]), np.array([y]), np.ones(1), ts
         )
+        lines = ["t,phi"]
+        lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
+    elif args.zeros:
+        zs = _load_zeros(args.zeros)
+        radius = args.truncation
+        if radius is None:
+            radius = default_truncation_radius(zs, float(np.abs(ts).max()))
+        r = phi_sum(zs, ts, radius)
         lines = ["t,phi_sum,tail_bound"]
-        for t in ts:
-            r = phi_sum(zs, float(t), radius)
-            lines.append(f"{float(t)!r},{r.value!r},{r.tail_bound!r}")
+        lines += [
+            f"{t!r},{v!r},{b!r}"
+            for t, v, b in zip(ts.tolist(), r.value.tolist(), r.tail_bound.tolist())
+        ]
     else:
         raise InputFormatError("phi needs --zero X,Y or --zeros PATH")
-    _emit("\n".join(lines) + "\n", config.out)
+    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_hilbert(config: RunConfig) -> int:
-    if config.input_path:
-        f = SampledFunction.from_csv(_require_file(config.input_path))
-    elif config.const is not None:
-        template = _grid_template(config)
-        f = template.like(np.full(template.n, config.const))
+def cmd_hilbert(args: argparse.Namespace) -> int:
+    if args.input:
+        f = SampledFunction.from_csv(args.input)
+    elif args.const is not None:
+        template = _grid_template(args)
+        f = template.like(np.full(template.n, args.const))
     else:
         raise InputFormatError("hilbert needs --input PATH or --const C (with --grid)")
-    out = hilbert_transform_sampled(f)
-    import io
-
-    buf = io.StringIO()
-    out.to_csv(buf)
-    _emit(buf.getvalue(), config.out)
+    hilbert_transform_sampled(f).to_csv(args.out or sys.stdout)
     return EXIT_OK
 
 
-def cmd_bmo(config: RunConfig) -> int:
-    if not config.input_path:
+def cmd_bmo(args: argparse.Namespace) -> int:
+    if not args.input:
         raise InputFormatError("bmo needs --input PATH")
-    f = SampledFunction.from_csv(_require_file(config.input_path))
-    if config.lengths is None:
+    if not args.lengths:
         raise InputFormatError("bmo needs --lengths min:max")
-    lo, hi = config.lengths
-    rep = bmo_estimate(f, lo, hi)
+    lo, hi = _parse_pair(args.lengths)
+    rep = bmo_estimate(SampledFunction.from_csv(args.input), lo, hi)
     text = "a,b,mean,oscillation\n" + (
         f"{rep.a!r},{rep.b!r},{rep.mean!r},{rep.oscillation!r}\n"
     )
-    _emit(text, config.out)
+    write_text(args.out or sys.stdout, text)
     return EXIT_OK
 
 
-def _build_model(config: RunConfig, k: int) -> zoo.ZooModel:
-    name = (config.model or "").lower()
+def _build_model(args: argparse.Namespace, k: int) -> zoo.ZooModel:
+    name = (args.model or "").lower()
     if name == "sine":
-        return zoo.sine_type_model(config.shift, truncation=k)
+        return zoo.sine_type_model(args.shift, truncation=k)
     if name == "example1":
-        window = config.truncation or 500.0
-        return zoo.shift_to_strip(zoo.referee_example1(k, window), config.shift)
+        window = 500.0 if args.truncation is None else args.truncation
+        return zoo.shift_to_strip(zoo.referee_example1(k, window), args.shift)
     if name == "example2":
-        return zoo.shift_to_strip(zoo.referee_example2(k), config.shift)
+        return zoo.shift_to_strip(zoo.referee_example2(k), args.shift)
     if name == "cluster":
-        return zoo.cluster_model(k)
-    raise InputFormatError(f"unknown model {config.model!r}")
+        return zoo.cluster_model(k, height=args.shift)
+    raise InputFormatError(f"unknown model {args.model!r}")
 
 
-def cmd_zoo(config: RunConfig) -> int:
-    if not config.k_list:
+def cmd_zoo(args: argparse.Namespace) -> int:
+    k_list = _parse_ks(args.K)
+    if not k_list:
         raise InputFormatError("zoo needs --K N")
-    model = _build_model(config, config.k_list[0])
-    import io
-
-    buf = io.StringIO()
+    model = _build_model(args, k_list[0])
+    out = args.out or sys.stdout
     if model.delta_points is not None:
-        zoo.write_delta_csv(model, buf)
+        zoo.write_delta_csv(model, out)
     else:
-        save_zero_set(model.zeros, buf, fmt="csv")
-    _emit(buf.getvalue(), config.out)
+        save_zero_set(model.zeros, out)
     return EXIT_OK
 
 
-def cmd_verify_theorem(config: RunConfig) -> int:
-    if not config.model:
+def cmd_verify_theorem(args: argparse.Namespace) -> int:
+    thresholds = _parse_floats(args.thresholds)
+    if any(t <= 0 for t in thresholds) or any(
+        b <= a for a, b in zip(thresholds, thresholds[1:])
+    ):
+        raise InputFormatError(f"thresholds must be positive and increasing, got {thresholds}")
+    if not args.model:
         raise InputFormatError("verify-theorem needs --model NAME")
-    if not config.k_list:
+    k_list = _parse_ks(args.K)
+    if not k_list:
         raise InputFormatError("verify-theorem needs --K k1,k2,...")
-    family = [(float(k), _build_model(config, k)) for k in config.k_list]
+    family = [(float(k), _build_model(args, k)) for k in k_list]
     rows = theorem_divergence_scan(family)
     control = theorem_divergence_scan(
         [(200.0, zoo.sine_type_model(1.0, truncation=200))]
@@ -226,13 +200,13 @@ def cmd_verify_theorem(config: RunConfig) -> int:
         for r in rows
     ]
     lines.append(f"# control sine-type (N=200) bound: {control.bound!r}")
-    _emit("\n".join(lines) + "\n", config.out)
+    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
 
     summary = [
-        f"model={config.model} shift={config.shift:g}",
+        f"model={args.model} shift={args.shift:g}",
         f"control sine-type bound: {control.bound:.4f}",
     ]
-    for thr in config.thresholds:
+    for thr in thresholds:
         crossed = [r.label for r in rows if r.bound >= thr]
         if crossed:
             summary.append(f"threshold {thr:g} crossed at K={crossed[0]:g}")
@@ -251,13 +225,33 @@ def cmd_verify_theorem(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# flag -> add_argument keywords; --out is common to every command
+FLAGS = {
+    "--zeros": {},
+    "--input": {},
+    "--grid": {},
+    "--radii": {},
+    "--truncation": {"type": float},
+    "--lengths": {},
+    "--thresholds": {},
+    "--model": {},
+    "--K": {},
+    "--shift": {"type": float, "default": 1.0},
+    "--zero": {},
+    "--const": {"type": float},
+}
+
+# command -> (handler, its flags)
 COMMANDS = {
-    "density": cmd_density,
-    "phi": cmd_phi,
-    "hilbert": cmd_hilbert,
-    "bmo": cmd_bmo,
-    "zoo": cmd_zoo,
-    "verify-theorem": cmd_verify_theorem,
+    "density": (cmd_density, ["--zeros", "--radii"]),
+    "phi": (cmd_phi, ["--zero", "--zeros", "--grid", "--truncation"]),
+    "hilbert": (cmd_hilbert, ["--input", "--const", "--grid"]),
+    "bmo": (cmd_bmo, ["--input", "--lengths"]),
+    "zoo": (cmd_zoo, ["--model", "--K", "--shift", "--truncation"]),
+    "verify-theorem": (
+        cmd_verify_theorem,
+        ["--model", "--K", "--shift", "--truncation", "--thresholds"],
+    ),
 }
 
 
@@ -268,61 +262,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "and BMO lower bounds for strip zero sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--zeros", dest="zeros_path")
-        p.add_argument("--input", dest="input_path")
-        p.add_argument("--grid")
-        p.add_argument("--radii")
-        p.add_argument("--truncation", type=float)
-        p.add_argument("--lengths")
-        p.add_argument("--thresholds")
-        p.add_argument("--model")
-        p.add_argument("--K", dest="k_list")
-        p.add_argument("--shift", type=float, default=1.0)
-        p.add_argument("--zero")
-        p.add_argument("--const", type=float)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.add_argument("--out")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    zero = None
-    if args.zero:
-        vals = _parse_floats(args.zero)
-        if len(vals) != 2:
-            raise InputFormatError(f"--zero needs X,Y, got {args.zero!r}")
-        zero = (vals[0], vals[1])
-    thresholds = _parse_floats(args.thresholds) if args.thresholds else []
-    if any(t <= 0 for t in thresholds) or any(
-        b <= a for a, b in zip(thresholds, thresholds[1:])
-    ):
-        raise InputFormatError(f"thresholds must be positive and increasing, got {thresholds}")
-    return RunConfig(
-        command=args.command,
-        zeros_path=args.zeros_path,
-        input_path=args.input_path,
-        grid=_parse_grid(args.grid) if args.grid else None,
-        radii=_parse_floats(args.radii) if args.radii else [],
-        truncation=args.truncation,
-        lengths=_parse_pair(args.lengths) if args.lengths else None,
-        thresholds=thresholds,
-        model=args.model,
-        k_list=[int(v) for v in _parse_floats(args.k_list)] if args.k_list else [],
-        shift=args.shift,
-        zero=zero,
-        const=args.const,
-        out=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return COMMANDS[config.command](config)
-    except (InputFormatError, FileNotFoundError) as exc:
+        return args.handler(args)
+    except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:

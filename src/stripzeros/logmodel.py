@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .argbranch import default_truncation_radius, phi_sum
+from .argbranch import _branch_sum, default_truncation_radius, phi_sum
 from .errors import HelsonSzegoBoundError, PreconditionError, TruncationError
 from .hilbert import hilbert_transform_sampled
 from .oscillation import OscillationReport, bmo_estimate
@@ -82,7 +82,6 @@ def hlf_samples(
     model: HilbertLogModel,
     template: SampledFunction,
     truncation_radius: float | None = None,
-    _chunk: int = 256,
 ) -> tuple[SampledFunction, float]:
     """Model samples on the template grid and the worst-case tail bound."""
     ts = template.grid
@@ -99,18 +98,8 @@ def hlf_samples(
                 f"truncation radius {radius} too small: needs > 2 max|t| = {2 * t_max}"
             )
         keep = np.hypot(zs.res, zs.ims) <= radius
-        res, ims, mults = zs.res[keep], zs.ims[keep], zs.mults[keep]
-        for lo in range(0, res.size, _chunk):
-            hi = min(lo + _chunk, res.size)
-            x = res[lo:hi, None]
-            y = ims[lo:hi, None]
-            d = y * y + x * (x - ts[None, :])
-            with np.errstate(divide="ignore"):
-                vals = np.arctan(y * ts[None, :] / d)
-            vals += np.where(
-                d < 0.0, np.where(x > 0.0, math.pi, -math.pi), 0.0
-            )
-            acc -= mults[lo:hi] @ vals
+        # negated weights subtract the branch sum block by block
+        _branch_sum(acc, zs.res[keep], zs.ims[keep], -zs.mults[keep], ts)
         tail = 2.0 * t_max * blaschke_tail(zs, radius)
     return template.like(acc), tail
 

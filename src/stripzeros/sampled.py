@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ._numutil import evaluate_on_grid, read_text, write_text
 from .errors import InputFormatError
 
 __all__ = ["SampledFunction"]
@@ -61,8 +61,6 @@ class SampledFunction:
         cls, f: Callable, t0: float, h: float, n: int
     ) -> "SampledFunction":
         ts = t0 + h * np.arange(n)
-        from ._numutil import evaluate_on_grid
-
         return cls(t0, h, evaluate_on_grid(f, ts))
 
     def like(self, values: np.ndarray) -> "SampledFunction":
@@ -77,36 +75,33 @@ class SampledFunction:
         lines = [f"# t0={self.t0!r} h={self.h!r} n={self.n}", "t,value"]
         ts = self.grid
         lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, self.values))
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text)
+        write_text(target, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, source) -> "SampledFunction":
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            p = Path(source)
-            text = p.read_text() if p.exists() else str(source)
-        t0 = h = None
+        """Read ``t,value`` rows from a path or a text stream.
+
+        A ``# t0=.. h=.. n=..`` header pins the grid; without one the grid
+        runs from the first to the last ``t``.  Every ``t`` must sit within
+        ``1e-6*h`` of its grid node and the row count must match ``n``.
+        """
+        t0 = h = n = None
         ts: list[float] = []
         vals: list[float] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = dict(
-                    kv.split("=", 1) for kv in line[1:].split() if "=" in kv
-                )
-                if "t0" in parts and "h" in parts:
-                    t0, h = float(parts["t0"]), float(parts["h"])
-                continue
-            if line.lower().startswith("t,"):
+            if not line or line.lower().startswith("t,"):
                 continue
             try:
+                if line.startswith("#"):
+                    parts = dict(
+                        kv.split("=", 1) for kv in line[1:].split() if "=" in kv
+                    )
+                    if "t0" in parts and "h" in parts:
+                        t0, h = float(parts["t0"]), float(parts["h"])
+                    if "n" in parts:
+                        n = int(parts["n"])
+                    continue
                 a, b = line.split(",")
                 ts.append(float(a))
                 vals.append(float(b))
@@ -117,4 +112,13 @@ class SampledFunction:
         if t0 is None or h is None:
             t0 = ts[0]
             h = (ts[-1] - ts[0]) / max(len(ts) - 1, 1)
-        return cls(t0, h, np.array(vals))
+        f = cls(t0, h, np.array(vals))
+        if n is not None and n != f.n:
+            raise InputFormatError(f"header says n={n} but {f.n} rows were read")
+        off = np.flatnonzero(~(np.abs(np.array(ts) - f.grid) <= 1e-6 * f.h))
+        if off.size:
+            k = int(off[0])
+            raise InputFormatError(
+                f"row {k + 1}: t={ts[k]!r} is off the grid node {f.t0!r} + {k}*{f.h!r}"
+            )
+        return f

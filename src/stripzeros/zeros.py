@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, trapezoid
+from ._numutil import evaluate_on_grid, read_text, trapezoid, write_text
 from .errors import InputFormatError, PreconditionError
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "save_zero_set",
     "window_count",
     "upper_density_profile",
-    "lower_density_profile",
     "separation_constant",
     "decompose_uniformly_discrete",
     "blaschke_sum",
@@ -182,18 +180,11 @@ def _parse_csv_line(line: str, lineno: int) -> StripPoint:
 def load_zero_set(source) -> ZeroSet:
     """Read a zero set from CSV (``re,im[,mult]`` lines) or a JSON array.
 
-    ``source`` may be a path, a file object, or literal text.  ``#`` lines
-    and blank lines are ignored in CSV.  JSON input is an array of objects
+    ``source`` is a path or a text stream.  ``#`` lines and blank lines are
+    ignored in CSV.  JSON input is an array of objects
     ``{"re": ..., "im": ..., "mult": ...}`` (``mult`` optional).
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            text = str(source)
+    text = read_text(source)
     stripped = text.lstrip()
     if not stripped:
         raise InputFormatError("empty zero-set input")
@@ -234,29 +225,25 @@ def save_zero_set(zs: ZeroSet, target, fmt: str = "csv") -> None:
         )
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+    write_text(target, text)
 
 
 # ----------------------------------------------------------------------
 # counting and densities
 
 
-def window_count(zs: ZeroSet, x: float, r: float) -> int:
-    """Multiplicity-weighted number of zeros with re in ``[x, x+r)``."""
+def window_count(zs: ZeroSet, x: float | np.ndarray, r: float) -> int | np.ndarray:
+    """Multiplicity-weighted number of zeros with re in ``[x, x+r)``.
+
+    ``x`` is one anchor (the count is an ``int``) or an array of anchors
+    (an array of counts).
+    """
     if not r > 0:
         raise PreconditionError(f"window length must be positive, got {r}")
     lo = np.searchsorted(zs.res, x, side="left")
     hi = np.searchsorted(zs.res, x + r, side="left")
-    return int(zs._cum[hi] - zs._cum[lo])
-
-
-def _counts_at(zs: ZeroSet, anchors: np.ndarray, r: float) -> np.ndarray:
-    lo = np.searchsorted(zs.res, anchors, side="left")
-    hi = np.searchsorted(zs.res, anchors + r, side="left")
-    return zs._cum[hi] - zs._cum[lo]
+    counts = zs._cum[hi] - zs._cum[lo]
+    return int(counts) if np.ndim(x) == 0 else counts
 
 
 def _validate_radii(radii: Sequence[float]) -> list[float]:
@@ -283,39 +270,10 @@ def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile
     entries = []
     for r in _validate_radii(radii):
         anchors = np.unique(np.concatenate((zs.res, zs.res - r)))
-        counts = _counts_at(zs, anchors, r)
+        counts = window_count(zs, anchors, r)
         best = int(np.argmax(counts))
         sup = int(counts[best])
         entries.append(ProfileEntry(float(r), sup, sup / r, float(anchors[best])))
-    return DensityProfile(tuple(entries))
-
-
-def lower_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile:
-    """Inf over window positions inside the data span (extension).
-
-    This is the symmetric counterpart of :func:`upper_density_profile` with
-    inf instead of sup, restricted to anchors ``x`` with
-    ``[x, x+r]`` inside ``[min re, max re]``.  On finite data it is only a
-    surrogate: it is not a formula from the underlying theory.
-    """
-    entries = []
-    lo_re, hi_re = float(zs.res[0]), float(zs.res[-1])
-    for r in _validate_radii(radii):
-        if hi_re - r < lo_re:
-            count = int(zs._cum[-1])
-            entries.append(ProfileEntry(float(r), count, count / r, lo_re))
-            continue
-        cand = np.unique(np.concatenate((zs.res, zs.res - r)))
-        cand = cand[(cand >= lo_re) & (cand <= hi_re - r)]
-        # value on the open piece right of a jump point p is #(p, p+r]
-        lo_idx = np.searchsorted(zs.res, cand, side="right")
-        hi_idx = np.searchsorted(zs.res, cand + r, side="right")
-        counts = zs._cum[hi_idx] - zs._cum[lo_idx]
-        anchors = np.concatenate((cand, [lo_re]))
-        counts = np.concatenate((counts, [window_count(zs, lo_re, r)]))
-        best = int(np.argmin(counts))
-        inf = int(counts[best])
-        entries.append(ProfileEntry(float(r), inf, inf / r, float(anchors[best])))
     return DensityProfile(tuple(entries))
 
 

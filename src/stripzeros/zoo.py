@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._numutil import read_text, write_text
 from .errors import InputFormatError, PreconditionError
 from .zeros import StripPoint, ZeroSet, upper_density_profile
 
@@ -261,6 +261,11 @@ def shift_to_strip(model: ZooModel, h: float) -> ZooModel:
     return replace(model, zeros=zeros, log_modulus=log_modulus, shift=new_shift)
 
 
+def _cluster_count(model: ZooModel, k: int) -> int:
+    """Offset-form zeros strictly inside ``(3^k - 1, 3^k)``: ``log3 delta < 0``."""
+    return sum(1 for p in model.delta_points if p.k == k and p.delta_log3 < 0.0)
+
+
 def count_claim_check(model: ZooModel, k: int) -> tuple[int, bool]:
     """Zeros strictly inside ``(3^k - 1, 3^k)`` and whether they reach k/2.
 
@@ -271,7 +276,7 @@ def count_claim_check(model: ZooModel, k: int) -> tuple[int, bool]:
         raise PreconditionError("count claim applies to offset-form models only")
     if model.truncation is not None and k > model.truncation:
         raise PreconditionError(f"k={k} beyond the model truncation {model.truncation}")
-    count = sum(1 for p in model.delta_points if p.k == k and p.delta_log3 < 0.0)
+    count = _cluster_count(model, k)
     return count, count >= k / 2.0
 
 
@@ -286,9 +291,7 @@ def hot_unit_window(model: ZooModel) -> tuple[float, float, int]:
         best_k, best_count = 0, -1
         ks = sorted({p.k for p in model.delta_points})
         for k in ks:
-            count = sum(
-                1 for p in model.delta_points if p.k == k and p.delta_log3 < 0.0
-            )
+            count = _cluster_count(model, k)
             if count >= best_count:
                 best_k, best_count = k, count
         return 3.0**best_k, -1.0, best_count
@@ -331,11 +334,7 @@ def write_delta_csv(model: ZooModel, target) -> None:
     lines = ["# format: delta-log3", "re_base,delta_log3,im,mult"]
     for p in model.delta_points:
         lines.append(f"{3**p.k},{p.delta_log3!r},{model.shift!r},1")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+    write_text(target, "\n".join(lines) + "\n")
 
 
 def _power_of_three(value: int, lineno: int) -> int:
@@ -350,13 +349,8 @@ def _power_of_three(value: int, lineno: int) -> int:
 
 
 def load_delta_csv(source) -> ZooModel:
-    """Rebuild an offset-form point set from the extended CSV variant."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-    lines = text.splitlines()
+    """Rebuild an offset-form point set from a path or a text stream."""
+    lines = read_text(source).splitlines()
     if not lines or "delta-log3" not in lines[0]:
         raise InputFormatError("missing the delta-log3 format flag line")
     deltas: list[DeltaPoint] = []

@@ -10,6 +10,7 @@ from stripzeros import (
     PreconditionError,
     StripPoint,
     TruncationError,
+    VerificationError,
     ZeroSet,
     find_growth_window,
     growth_constant,
@@ -199,10 +200,60 @@ def test_phi_sum_cluster_increment():
     assert inc == pytest.approx(100 * 2 * math.atan(0.5), rel=1e-12)
 
 
+def test_phi_sum_array_matches_fsum_of_scalar_phi():
+    # exact swap points (1+i at t=2, -1+i at t=-2), x = 0, |x| up to 1e15
+    # on both sides of its swap point, and more zeros than one kernel block
+    rng = np.random.default_rng(7)
+    pts = [
+        StripPoint(1.0, 1.0, 2),
+        StripPoint(-1.0, 1.0, 1),
+        StripPoint(0.0, 2.0, 3),
+        StripPoint(3.0, 2.0, 1),
+        StripPoint(1e15, 1.0, 1),
+        StripPoint(-1e15, 0.5, 2),
+    ] + [
+        StripPoint(float(x), float(y), int(m))
+        for x, y, m in zip(
+            rng.uniform(-30, 30, 400), rng.uniform(0.2, 3.0, 400), rng.integers(1, 4, 400)
+        )
+    ]
+    zs = ZeroSet(pts)
+    ts = np.concatenate((
+        np.linspace(-20.0, 20.0, 81),
+        [2.0, -2.0, 13.0 / 3.0, 0.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
+    ))
+    radius = 3e15
+    got = phi_sum(zs, ts, radius)
+    assert got.value.shape == ts.shape
+    assert (got.tail_bound == 0.0).all()  # every zero is inside the radius
+    eps = np.finfo(float).eps
+    for t, v in zip(ts, got.value):
+        terms = [p.mult * phi(p.z, float(t)).value for p in zs]
+        ref = math.fsum(terms)
+        # one rounding per term and per addition
+        tol = (len(terms) + 1) * eps * math.fsum(abs(x) for x in terms)
+        assert abs(v - ref) <= tol, (t, v, ref)
+        assert phi_sum(zs, float(t), radius).value == pytest.approx(ref, abs=tol)
+
+
 def test_phi_sum_truncation_radius_gate():
     zs = ZeroSet([StripPoint(0.0, 1.0, 1)])
     with pytest.raises(TruncationError, match="2|t|".replace("|", r"\|")):
         phi_sum(zs, 10.0, 20.0)
+    # an array of t is gated by its largest |t|
+    with pytest.raises(TruncationError):
+        phi_sum(zs, np.array([1.0, -10.0]), 20.0)
+    assert isinstance(phi_sum(zs, np.array([1.0, -9.0]), 20.0).value, np.ndarray)
+
+
+def test_phi_sum_guards_the_tail_premise():
+    # |z|^2 underflows to 0, so the zero looks branch-corrected at t = 0
+    # although |z| > 2|t|; the tail bound would then be unfounded
+    zs = ZeroSet([StripPoint(1e-200, 1e-200, 1), StripPoint(0.0, 1.0, 1)])
+    with np.errstate(invalid="ignore"):
+        for t in (0.0, np.array([1.0, 0.0])):
+            with pytest.raises(VerificationError, match="beyond 2"):
+                phi_sum(zs, t, 10.0)
 
 
 def test_phi_sum_tail_bound_is_certified():

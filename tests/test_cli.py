@@ -67,6 +67,16 @@ def test_phi_sum_with_zero_file(tmp_path, capsys):
     assert p_vals == pytest.approx([0.0, math.atan(0.5), math.atan(1.0)])
 
 
+def test_phi_zero_truncation_is_not_the_default(tmp_path, capsys):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0.0,1.0,1\n")
+    code, _, err = run(
+        capsys, "phi", "--zeros", str(zeros), "--grid", "0:0.5:3", "--truncation", "0"
+    )
+    assert code == 3
+    assert "truncation radius 0.0 too small" in err
+
+
 def test_hilbert_constant_is_zero_column(tmp_path, capsys):
     out_path = tmp_path / "h.csv"
     code, _, _ = run(
@@ -165,6 +175,36 @@ def test_zoo_round_trip_bit_exact(tmp_path, capsys):
 
     save_zero_set(zs, str(again))
     assert load_zero_set(str(again)) == zs
+
+
+def test_zoo_cluster_honours_shift(tmp_path, capsys):
+    out_path = tmp_path / "cluster.csv"
+    code, _, _ = run(
+        capsys, "zoo", "--model", "cluster", "--K", "3", "--shift", "2", "--out", str(out_path)
+    )
+    assert code == 0
+    assert [(p.im, p.mult) for p in load_zero_set(str(out_path))] == [(2.0, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--grid=0:1:2", "--zeros", "z.csv", "--radii", "1"],
+        ["hilbert", "--radii", "1", "--const", "1", "--grid=0:1:2"],
+    ],
+)
+def test_stray_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(capsys, "bmo", "--input", missing, "--lengths", "1:2")
+    assert code == 2
+    assert "input error" in err and missing in err
 
 
 def test_verify_theorem_cluster(tmp_path, capsys):

@@ -16,6 +16,7 @@ from stripzeros import (
     compose_helson_szego,
     hlf_evaluate,
     hlf_samples,
+    phi_sum,
     reconstruct_log_modulus,
     referee_example2,
     shift_to_strip,
@@ -69,6 +70,23 @@ def test_hlf_samples_match_pointwise_evaluation():
     for i, t in enumerate(grid.grid):
         single = hlf_evaluate(model, float(t), 100.0)
         assert sampled.values[i] == pytest.approx(single.value, abs=1e-12)
+    # more zeros and nodes than one kernel block: samples equal the linear
+    # term minus the array branch sum up to the order of subtraction
+    rng = np.random.default_rng(8)
+    zs = ZeroSet([
+        StripPoint(float(x), float(y), int(m))
+        for x, y, m in zip(
+            rng.uniform(-60, 60, 600), rng.uniform(0.2, 3.0, 600), rng.integers(1, 4, 600)
+        )
+    ])
+    model = HilbertLogModel(2 * math.pi, 0.3, zs)
+    grid = template(-25.0, 0.01, 5001)
+    radius = 200.0
+    sampled, _ = hlf_samples(model, grid, radius)
+    base = 0.3 + math.pi * grid.grid
+    expected = base - phi_sum(zs, grid.grid, radius).value
+    tol = 8 * np.finfo(float).eps * (np.abs(base) + math.pi * zs.weight)
+    assert (np.abs(sampled.values - expected) <= tol).all()
 
 
 # ----------------------------------------------------------------------

@@ -51,3 +51,22 @@ def test_from_function():
     f = SampledFunction.from_function(np.cos, 0.0, 0.1, 11)
     assert f.values[0] == 1.0
     assert f.values[10] == pytest.approx(np.cos(1.0))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# t0=0.0 h=1.0 n=4\nt,value\n0.0,1.0\n1.0,2.0\n2.0,3.0\n", "n=4"),
+        ("t,value\n0.0,1.0\n1.0,2.0\n3.0,3.0\n", "off the grid"),
+        ("# t0=0.0 h=1.0 n=3\nt,value\n0.0,1.0\n1.0,2.0\n2.1,3.0\n", "off the grid"),
+    ],
+    ids=["row-count", "non-uniform-without-header", "off-header-grid"],
+)
+def test_csv_rejects_grid_mismatch(text, message):
+    with pytest.raises(InputFormatError, match=message):
+        SampledFunction.from_csv(io.StringIO(text))
+
+
+def test_csv_missing_path(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        SampledFunction.from_csv(str(tmp_path / "missing.csv"))

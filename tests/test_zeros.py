@@ -16,7 +16,6 @@ from stripzeros import (
     cartwright_integral_estimate,
     decompose_uniformly_discrete,
     load_zero_set,
-    lower_density_profile,
     save_zero_set,
     separation_constant,
     sine_type_model,
@@ -60,6 +59,12 @@ def test_load_empty_is_an_error():
         load_zero_set(io.StringIO(""))
     with pytest.raises(InputFormatError):
         load_zero_set(io.StringIO("# only comments\n"))
+
+
+def test_load_missing_path(tmp_path):
+    # a mistyped path is an error, never parsed as CSV text
+    with pytest.raises(FileNotFoundError):
+        load_zero_set(str(tmp_path / "missing.csv"))
 
 
 def test_load_json():
@@ -184,13 +189,6 @@ def test_density_validates_radii():
         upper_density_profile(zs, [2.0, 1.0])
     with pytest.raises(PreconditionError):
         upper_density_profile(zs, [-1.0])
-
-
-def test_lower_density_profile_unit_spacing():
-    zs = progression(1.0, 1000)
-    e = lower_density_profile(zs, [100.0]).entries[0]
-    # interior windows of an arithmetic progression all hold ~r/d points
-    assert 1.0 - 2.0 / 100.0 <= e.density <= 1.0
 
 
 # ----------------------------------------------------------------------

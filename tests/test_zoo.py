@@ -228,6 +228,11 @@ def test_delta_csv_round_trip():
     assert (count, ok) == count_claim_check(model, 8)
 
 
+def test_delta_csv_missing_path(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_delta_csv(str(tmp_path / "missing.csv"))
+
+
 def test_shift_requires_positive_h():
     with pytest.raises(PreconditionError):
         shift_to_strip(referee_example2(5), 0.0)
