@@ -55,7 +55,6 @@ from .oscillation import (
 )
 from .hilbert import hilbert_transform, hilbert_transform_sampled
 from .zoo import (
-    DeltaPoint,
     ZooModel,
     cluster_model,
     count_claim_check,

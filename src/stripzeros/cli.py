@@ -62,12 +62,12 @@ def _load_zeros(path: str):
         fh.seek(0)
         if "delta-log3" not in head:
             return load_zero_set(fh)
-        model = zoo.load_delta_csv(fh)
-    if model.zeros is None:
+        zs = zoo.load_delta_csv(fh).zeros
+    if zs is None:
         raise InputFormatError(
             f"{path}: offset-form points carry im=0; export a shifted model"
         )
-    return model.zeros
+    return zs
 
 
 def _grid_template(args: argparse.Namespace) -> SampledFunction:
@@ -169,7 +169,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         raise InputFormatError("zoo needs --K N")
     model = _build_model(args, k_list[0])
     out = args.out or sys.stdout
-    if model.delta_points is not None:
+    if model.k is not None:
         zoo.write_delta_csv(model, out)
     else:
         save_zero_set(model.zeros, out)

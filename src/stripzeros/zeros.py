@@ -41,61 +41,98 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class StripPoint:
-    """A zero ``re + i*im`` with a positive integer multiplicity."""
+    """A zero ``re + i*im`` with a positive integer multiplicity (a ZeroSet row)."""
 
     re: float
     im: float
     mult: int = 1
 
-    def __post_init__(self):
-        if not self.im > 0:
-            raise InputFormatError(f"im must be positive, got {self.im}")
-        if self.mult < 1:
-            raise InputFormatError(f"mult must be >= 1, got {self.mult}")
-
     @property
     def z(self) -> complex:
         return complex(self.re, self.im)
 
-    @property
-    def abs2(self) -> float:
-        return self.re * self.re + self.im * self.im
+
+class _BadZero(InputFormatError):
+    """Row ``row`` of the constructor's input is rejected for ``reason``."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"zero {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 class ZeroSet:
     """Finite multiset of strip points sorted by re (ties: im, then mult).
 
+    The three arrays ``res``, ``ims`` and ``mults`` are the whole state.
     ``alpha``/``beta`` are the smallest and largest imaginary parts
     actually attained, i.e. the tight strip bounds of the data.
     """
 
-    __slots__ = ("points", "alpha", "beta", "_re", "_im", "_mult", "_cum")
+    __slots__ = ("alpha", "beta", "_re", "_im", "_mult", "_cum")
 
-    def __init__(self, points: Iterable[StripPoint]):
-        pts = tuple(sorted(points))
-        if not pts:
+    def __init__(self, re, im, mult=None):
+        """Validate and sort the zeros ``re[i] + i*im[i]`` (``mult`` defaults to 1).
+
+        ``re`` must be finite, ``im`` finite and positive, ``mult`` integral
+        and at least 1; the first offending row raises ``InputFormatError``.
+        """
+        re = np.asarray(re, dtype=float)
+        im = np.asarray(im, dtype=float)
+        mult = np.ones(re.shape, dtype=np.int64) if mult is None else np.asarray(mult)
+        if not (re.ndim == 1 and re.shape == im.shape == mult.shape):
+            raise PreconditionError("re, im and mult must be 1-d arrays of one length")
+        if re.size == 0:
             raise PreconditionError("a ZeroSet needs at least one point")
-        self.points = pts
-        self._re = np.array([p.re for p in pts], dtype=float)
-        self._im = np.array([p.im for p in pts], dtype=float)
-        self._mult = np.array([p.mult for p in pts], dtype=np.int64)
+        m = mult.astype(float)
+        whole = (m >= 1) & (m == np.floor(m)) & (m < 2.0**63)  # below 2^63: fits int64
+        checks = (
+            ("re must be finite", re, np.isfinite(re)),
+            ("im must be positive and finite", im, np.isfinite(im) & (im > 0)),
+            ("mult must be an integer >= 1", mult, whole),
+        )
+        ok = np.logical_and.reduce([good for _, _, good in checks])
+        if not ok.all():
+            row = int(np.argmin(ok))
+            what, values = next((w, v) for w, v, good in checks if not good[row])
+            raise _BadZero(row, f"{what}, got {values[row]}")
+        order = np.lexsort((mult, im, re))
+        self._re = re[order]
+        self._im = im[order]
+        self._mult = mult[order].astype(np.int64)
         # prefix sums of multiplicity for O(log n) window counts
         self._cum = np.concatenate(([0], np.cumsum(self._mult)))
+        for a in (self._re, self._im, self._mult, self._cum):
+            a.flags.writeable = False
         self.alpha = float(self._im.min())
         self.beta = float(self._im.max())
 
+    @classmethod
+    def from_points(cls, points: Iterable[StripPoint]) -> "ZeroSet":
+        """The zero set of ``StripPoint``s given in any order."""
+        pts = list(points)
+        return cls([p.re for p in pts], [p.im for p in pts], [p.mult for p in pts])
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._re)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(StripPoint, self._re.tolist(), self._im.tolist(), self._mult.tolist())
+
+    @property
+    def points(self) -> tuple[StripPoint, ...]:
+        return tuple(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ZeroSet) and self.points == other.points
+        return (
+            isinstance(other, ZeroSet)
+            and np.array_equal(self._re, other._re)
+            and np.array_equal(self._im, other._im)
+            and np.array_equal(self._mult, other._mult)
+        )
 
     def __repr__(self) -> str:
         return (
-            f"ZeroSet({len(self.points)} points, weight {self.weight}, "
+            f"ZeroSet({len(self)} points, weight {self.weight}, "
             f"alpha={self.alpha:g}, beta={self.beta:g})"
         )
 
@@ -118,14 +155,11 @@ class ZeroSet:
 
     def expanded(self) -> "ZeroSet":
         """The same multiset with every multiplicity written out as copies."""
-        pts = []
-        for p in self.points:
-            pts.extend(StripPoint(p.re, p.im, 1) for _ in range(p.mult))
-        return ZeroSet(pts)
+        return ZeroSet(np.repeat(self._re, self._mult), np.repeat(self._im, self._mult))
 
     def translated(self, dx: float) -> "ZeroSet":
         """Horizontal translation by ``dx``."""
-        return ZeroSet(StripPoint(p.re + dx, p.im, p.mult) for p in self.points)
+        return ZeroSet(self._re + dx, self._im, self._mult)
 
 
 @dataclass(frozen=True)
@@ -160,69 +194,70 @@ class CartwrightEstimate:
 # file formats
 
 
-def _parse_csv_line(line: str, lineno: int) -> StripPoint:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) not in (2, 3):
-        raise InputFormatError(f"line {lineno}: expected 're,im[,mult]', got {line!r}")
-    try:
-        re = float(parts[0])
-        im = float(parts[1])
-        mult = int(parts[2]) if len(parts) == 3 and parts[2] else 1
-    except ValueError as exc:
-        raise InputFormatError(f"line {lineno}: {exc}") from None
-    if not im > 0:
-        raise InputFormatError(f"line {lineno}: im must be positive, got {im}")
-    if mult < 1:
-        raise InputFormatError(f"line {lineno}: mult must be >= 1, got {mult}")
-    return StripPoint(re, im, mult)
-
-
 def load_zero_set(source) -> ZeroSet:
     """Read a zero set from CSV (``re,im[,mult]`` lines) or a JSON array.
 
     ``source`` is a path or a text stream.  ``#`` lines and blank lines are
     ignored in CSV.  JSON input is an array of objects
-    ``{"re": ..., "im": ..., "mult": ...}`` (``mult`` optional).
+    ``{"re": ..., "im": ..., "mult": ...}`` (``mult`` optional, an integer).
+    A row that :class:`ZeroSet` rejects is reported by its line (CSV) or
+    record (JSON) number.
     """
     text = read_text(source)
     stripped = text.lstrip()
     if not stripped:
         raise InputFormatError("empty zero-set input")
+    res, ims, mults, rows = [], [], [], []  # rows: line or record numbers
     if stripped[0] == "[":
+        unit = "record"
         try:
             records = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"bad JSON: {exc}") from None
-        pts = []
         for i, rec in enumerate(records):
             try:
-                pts.append(
-                    StripPoint(float(rec["re"]), float(rec["im"]), int(rec.get("mult", 1)))
-                )
+                res.append(float(rec["re"]))
+                ims.append(float(rec["im"]))
+                mult = rec.get("mult", 1)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"record {i}: {exc}") from None
-        if not pts:
-            raise InputFormatError("empty zero-set input")
-        return ZeroSet(pts)
-    pts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pts.append(_parse_csv_line(line, lineno))
-    if not pts:
+            if isinstance(mult, bool) or not isinstance(mult, (int, float)):
+                raise InputFormatError(f"record {i}: mult must be an integer, got {mult!r}")
+            mults.append(mult)
+            rows.append(i)
+    else:
+        unit = "line"
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) not in (2, 3):
+                raise InputFormatError(
+                    f"line {lineno}: expected 're,im[,mult]', got {line!r}"
+                )
+            try:
+                res.append(float(parts[0]))
+                ims.append(float(parts[1]))
+                mults.append(int(parts[2]) if len(parts) == 3 and parts[2] else 1)
+            except ValueError as exc:
+                raise InputFormatError(f"line {lineno}: {exc}") from None
+            rows.append(lineno)
+    if not rows:
         raise InputFormatError("empty zero-set input")
-    return ZeroSet(pts)
+    try:
+        return ZeroSet(res, ims, mults)
+    except _BadZero as exc:
+        raise InputFormatError(f"{unit} {rows[exc.row]}: {exc.reason}") from None
 
 
 def save_zero_set(zs: ZeroSet, target, fmt: str = "csv") -> None:
     """Write a zero set as CSV or JSON; floats round-trip bit-exactly."""
+    cols = zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
     if fmt == "csv":
-        text = "".join(f"{p.re!r},{p.im!r},{p.mult}\n" for p in zs.points)
+        text = "".join(f"{re!r},{im!r},{mult}\n" for re, im, mult in cols)
     elif fmt == "json":
-        text = json.dumps(
-            [{"re": p.re, "im": p.im, "mult": p.mult} for p in zs.points]
-        )
+        text = json.dumps([{"re": re, "im": im, "mult": mult} for re, im, mult in cols])
     else:
         raise ValueError(f"unknown format {fmt!r}")
     write_text(target, text)
@@ -265,8 +300,6 @@ def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile
     candidate set, so the scan is exact for finite data.  No limit in ``r``
     is taken: the whole profile is reported.
     """
-    if len(zs) == 0:  # unreachable through the constructor; kept as a contract
-        raise PreconditionError("profile undefined for an empty zero set")
     entries = []
     for r in _validate_radii(radii):
         anchors = np.unique(np.concatenate((zs.res, zs.res - r)))
@@ -322,25 +355,26 @@ def decompose_uniformly_discrete(
     if not delta > 0:
         raise PreconditionError(f"delta must be positive, got {delta}")
     expanded = zs.expanded()
-    classes: list[list[StripPoint]] = []
-    for p in expanded.points:
+    res, ims = expanded.res.tolist(), expanded.ims.tolist()
+    classes: list[list[int]] = []
+    for i, (x, y) in enumerate(zip(res, ims)):
         placed = False
         for members in classes:
             ok = True
-            for q in reversed(members):
-                if p.re - q.re >= delta:
+            for j in reversed(members):
+                if x - res[j] >= delta:
                     break
-                if math.hypot(p.re - q.re, p.im - q.im) < delta:
+                if math.hypot(x - res[j], y - ims[j]) < delta:
                     ok = False
                     break
             if ok:
-                members.append(p)
+                members.append(i)
                 placed = True
                 break
         if not placed:
-            classes.append([p])
+            classes.append([i])
     bound = upper_density_profile(expanded, [2 * delta]).entries[0].sup_count
-    return [ZeroSet(members) for members in classes], bound
+    return [ZeroSet(expanded.res[m], expanded.ims[m]) for m in classes], bound
 
 
 # ----------------------------------------------------------------------

@@ -10,27 +10,29 @@ bound:
 * ``referee_example2``: factors ``cos[(pi/2)(3^-n + 3^-n^2) z]`` whose
   zeros include ``z(k,n) = 3^k - delta(k,n)`` with
   ``delta(k,n) = 3^k / (3^(n^2-n) + 1)`` for every ``n < k``; the offsets
-  ``delta`` span hundreds of orders of magnitude, so points are stored as
-  ``(3^k, log3 delta)`` pairs and every interval predicate is evaluated on
-  ``delta``, never on the catastrophic float difference ``3^k - delta``.
+  ``delta`` span hundreds of orders of magnitude, so the model keeps the
+  exact arrays ``k`` and ``log3 delta`` and every interval predicate is
+  evaluated on ``delta``, never on the catastrophic float difference
+  ``3^k - delta``.
 
-All generators are pure; evaluators accept scalars or numpy arrays.
+All generators are pure; ``ZooModel.log_modulus`` accepts scalars or numpy
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from ._numutil import read_text, write_text
 from .errors import InputFormatError, PreconditionError
-from .zeros import StripPoint, ZeroSet, upper_density_profile
+from .zeros import ZeroSet, upper_density_profile
 
 __all__ = [
-    "DeltaPoint",
     "ZooModel",
     "sine_type_model",
     "referee_example1",
@@ -47,43 +49,53 @@ __all__ = [
 LOG3 = math.log(3.0)
 
 
-class DeltaPoint(NamedTuple):
-    """Zero at ``3^k - 3^delta_log3``; ``n`` records the factor (or -1)."""
-
-    k: int
-    n: int
-    delta_log3: float
-
-    @property
-    def position(self) -> float:
-        """Float position; collapses onto 3^k once delta underflows its ulp."""
-        return 3.0**self.k - 3.0**self.delta_log3
-
-
 @dataclass(eq=False)
 class ZooModel:
-    """A generated zero set together with its log-modulus evaluator.
+    """Zeros ``re + i*height`` (multiplicity ``mult``) and their log-modulus.
 
-    ``zeros`` is None until the model is shifted into the strip (the raw
-    counterexamples have real zeros).  ``log_modulus_at_shift`` rebuilds
-    the evaluator for any vertical shift, in closed form per factor via
-    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``.
+    ``height`` is the common imaginary part of the zeros: 0 for the raw
+    counterexamples, whose zeros are real.  ``evaluator(x, height)`` is the
+    log-modulus for zeros at that height, in closed form per factor via
+    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``.  Offset-form models also keep
+    the exact ``k`` and ``delta_log3`` arrays of the zeros
+    ``3^k - 3^delta_log3`` that ``re`` rounds.
     """
 
     name: str
-    zeros: ZeroSet | None
-    log_modulus: Callable | None
-    shift: float = 0.0
+    re: np.ndarray
+    height: float
+    evaluator: Callable[[np.ndarray, float], np.ndarray] | None
+    mult: np.ndarray | None = None  # None: every zero is simple
     indicator_width: float = 0.0
     truncation: int | None = None
-    raw_points: tuple[tuple[float, int], ...] | None = None
-    delta_points: tuple[DeltaPoint, ...] | None = None
-    log_modulus_at_shift: Callable[[float], Callable] | None = None
+    k: np.ndarray | None = None
+    delta_log3: np.ndarray | None = None
+
+    @property
+    def zeros(self) -> ZeroSet | None:
+        """The zeros as a strip zero set; None while they are real."""
+        if not self.height > 0:
+            return None
+        return ZeroSet(self.re, np.full(self.re.size, self.height), self.mult)
+
+    def log_modulus(self, x):
+        """``log|F(x)|`` at a scalar (a float) or an array of reals."""
+        xa = np.asarray(x, dtype=float)
+        out = self.evaluator(xa, self.height)
+        return float(out) if xa.ndim == 0 else out
 
 
-def _as_array(x):
-    xa = np.asarray(x, dtype=float)
-    return xa, (xa.ndim == 0)
+def _offset_form(
+    ks: list[int], delta_log3: list[float], name: str, height: float, evaluator, **fields
+) -> ZooModel:
+    """Simple zeros at ``3^k - 3^delta_log3``.
+
+    The powers are scalar float powers: numpy's differ from them by an ulp
+    on some offsets.
+    """
+    re = np.array([3.0**k - 3.0**dl for k, dl in zip(ks, delta_log3)])
+    return ZooModel(name, re, height, evaluator, k=np.array(ks, dtype=np.int64),
+                    delta_log3=np.array(delta_log3), **fields)
 
 
 def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
@@ -97,27 +109,13 @@ def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
         raise PreconditionError(f"height must be positive, got {h}")
     if truncation < 0:
         raise PreconditionError(f"truncation must be >= 0, got {truncation}")
-    pts = [StripPoint(float(n), h, 1) for n in range(-truncation, truncation + 1)]
 
-    def at_shift(extra: float) -> Callable:
-        sh2 = math.sinh(math.pi * (h + extra)) ** 2
+    def log_modulus(x, height):
+        return 0.5 * np.log(np.sin(math.pi * x) ** 2 + math.sinh(math.pi * height) ** 2)
 
-        def log_modulus(x):
-            xa, scalar = _as_array(x)
-            out = 0.5 * np.log(np.sin(math.pi * xa) ** 2 + sh2)
-            return float(out) if scalar else out
-
-        return log_modulus
-
-    return ZooModel(
-        name="sine",
-        zeros=ZeroSet(pts),
-        log_modulus=at_shift(0.0),
-        shift=0.0,
-        indicator_width=2.0 * math.pi,
-        truncation=truncation,
-        log_modulus_at_shift=at_shift,
-    )
+    re = np.arange(-truncation, truncation + 1, dtype=float)
+    return ZooModel("sine", re, h, log_modulus, indicator_width=2.0 * math.pi,
+                    truncation=truncation)
 
 
 def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
@@ -132,36 +130,26 @@ def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
         raise PreconditionError(f"need at least one factor, got {factors}")
     if not window > 0:
         raise PreconditionError(f"window must be positive, got {window}")
-    raw: list[tuple[float, int]] = []
+    re: list[float] = []
+    mult: list[int] = []
     for n in range(1, factors + 1):
         step = n**3 * math.pi
         m_lo = math.ceil(-window / step - 0.5)
         m_hi = math.floor(window / step - 0.5)
-        raw.extend((step * (m + 0.5), n) for m in range(m_lo, m_hi + 1))
-    raw.sort()
+        re.extend(step * (m + 0.5) for m in range(m_lo, m_hi + 1))
+        mult.extend([n] * (m_hi + 1 - m_lo))
 
-    def at_shift(extra: float) -> Callable:
-        def log_modulus(x):
-            xa, scalar = _as_array(x)
-            total = np.zeros_like(xa)
-            with np.errstate(divide="ignore"):
-                for n in range(1, factors + 1):
-                    scaled = xa / n**3
-                    total += n * 0.5 * np.log(
-                        np.cos(scaled) ** 2 + math.sinh(extra / n**3) ** 2
-                    )
-            return float(total) if scalar else total
+    def log_modulus(x, height):
+        total = np.zeros_like(x)
+        with np.errstate(divide="ignore"):
+            for n in range(1, factors + 1):
+                total += n * 0.5 * np.log(
+                    np.cos(x / n**3) ** 2 + math.sinh(height / n**3) ** 2
+                )
+        return total
 
-        return log_modulus
-
-    return ZooModel(
-        name="example1",
-        zeros=None,
-        log_modulus=at_shift(0.0),
-        truncation=factors,
-        raw_points=tuple(raw),
-        log_modulus_at_shift=at_shift,
-    )
+    return ZooModel("example1", np.array(re), 0.0, log_modulus,
+                    mult=np.array(mult, dtype=np.int64), truncation=factors)
 
 
 def referee_example2(k_max: int) -> ZooModel:
@@ -174,38 +162,22 @@ def referee_example2(k_max: int) -> ZooModel:
     """
     if k_max < 2:
         raise PreconditionError(f"k_max must be >= 2, got {k_max}")
-    deltas = []
+    ks, delta_log3 = [], []
     for k in range(2, k_max + 1):
         for n in range(1, k):
             correction = math.log1p(3.0 ** (n - n * n)) / LOG3
-            deltas.append(DeltaPoint(k, n, (k - n * n + n) - correction))
+            ks.append(k)
+            delta_log3.append((k - n * n + n) - correction)
+    freqs = [0.5 * math.pi * (3.0 ** (-n) + 3.0 ** (-n * n)) for n in range(1, k_max + 1)]
 
-    def at_shift(extra: float) -> Callable:
-        freqs = [
-            0.5 * math.pi * (3.0 ** (-n) + 3.0 ** (-n * n))
-            for n in range(1, k_max + 1)
-        ]
+    def log_modulus(x, height):
+        total = np.zeros_like(x)
+        with np.errstate(divide="ignore"):
+            for c in freqs:
+                total += 0.5 * np.log(np.cos(c * x) ** 2 + math.sinh(c * height) ** 2)
+        return total
 
-        def log_modulus(x):
-            xa, scalar = _as_array(x)
-            total = np.zeros_like(xa)
-            with np.errstate(divide="ignore"):
-                for c in freqs:
-                    total += 0.5 * np.log(
-                        np.cos(c * xa) ** 2 + math.sinh(c * extra) ** 2
-                    )
-            return float(total) if scalar else total
-
-        return log_modulus
-
-    return ZooModel(
-        name="example2",
-        zeros=None,
-        log_modulus=at_shift(0.0),
-        truncation=k_max,
-        delta_points=tuple(deltas),
-        log_modulus_at_shift=at_shift,
-    )
+    return _offset_form(ks, delta_log3, "example2", 0.0, log_modulus, truncation=k_max)
 
 
 def cluster_model(count: int, center: float = 0.5, height: float = 1.0) -> ZooModel:
@@ -215,113 +187,77 @@ def cluster_model(count: int, center: float = 0.5, height: float = 1.0) -> ZooMo
     if not height > 0:
         raise PreconditionError(f"height must be positive, got {height}")
 
-    def at_shift(extra: float) -> Callable:
-        y = height + extra
+    def log_modulus(x, height):
+        return count * 0.5 * np.log((x - center) ** 2 + height * height)
 
-        def log_modulus(x):
-            xa, scalar = _as_array(x)
-            out = count * 0.5 * np.log((xa - center) ** 2 + y * y)
-            return float(out) if scalar else out
-
-        return log_modulus
-
-    return ZooModel(
-        name="cluster",
-        zeros=ZeroSet([StripPoint(center, height, count)]),
-        log_modulus=at_shift(0.0),
-        truncation=count,
-        log_modulus_at_shift=at_shift,
-    )
+    return ZooModel("cluster", np.array([center], dtype=float), height, log_modulus,
+                    mult=np.array([count], dtype=np.int64), truncation=count)
 
 
 def shift_to_strip(model: ZooModel, h: float) -> ZooModel:
-    """Translate all zeros by ``+ih`` and rebuild the evaluator in closed form."""
+    """Raise every zero by ``h``; the evaluator follows the height."""
     if not h > 0:
         raise PreconditionError(f"shift must be positive, got {h}")
-    new_shift = model.shift + h
-    if model.zeros is not None:
-        zeros = ZeroSet(
-            StripPoint(p.re, p.im + h, p.mult) for p in model.zeros.points
-        )
-    elif model.delta_points is not None:
-        zeros = ZeroSet(
-            StripPoint(p.position, new_shift, 1) for p in model.delta_points
-        )
-    elif model.raw_points is not None:
-        zeros = ZeroSet(
-            StripPoint(x, new_shift, mult) for x, mult in model.raw_points
-        )
-    else:
-        raise PreconditionError("model carries no zeros to shift")
-    log_modulus = (
-        model.log_modulus_at_shift(new_shift)
-        if model.log_modulus_at_shift is not None
-        else None
-    )
-    return replace(model, zeros=zeros, log_modulus=log_modulus, shift=new_shift)
+    return replace(model, height=model.height + h)
 
 
-def _cluster_count(model: ZooModel, k: int) -> int:
-    """Offset-form zeros strictly inside ``(3^k - 1, 3^k)``: ``log3 delta < 0``."""
-    return sum(1 for p in model.delta_points if p.k == k and p.delta_log3 < 0.0)
+def _cluster_counts(model: ZooModel) -> np.ndarray:
+    """Per k, the zeros strictly inside ``(3^k - 1, 3^k)``: ``log3 delta < 0``."""
+    if model.k is None:
+        raise PreconditionError("count claim applies to offset-form models only")
+    return np.bincount(model.k[model.delta_log3 < 0.0], minlength=int(model.k.max()) + 1)
 
 
 def count_claim_check(model: ZooModel, k: int) -> tuple[int, bool]:
     """Zeros strictly inside ``(3^k - 1, 3^k)`` and whether they reach k/2.
 
-    The membership test is ``0 < delta < 1``, i.e. ``log3 delta < 0``,
-    evaluated in log space; the verdict may legitimately fail for small k.
+    The verdict may legitimately fail for small k.
     """
-    if model.delta_points is None:
-        raise PreconditionError("count claim applies to offset-form models only")
+    counts = _cluster_counts(model)
     if model.truncation is not None and k > model.truncation:
         raise PreconditionError(f"k={k} beyond the model truncation {model.truncation}")
-    count = _cluster_count(model, k)
+    count = int(counts[k]) if 0 <= k < counts.size else 0
     return count, count >= k / 2.0
 
 
-def hot_unit_window(model: ZooModel) -> tuple[float, float, int]:
+def hot_unit_window(model: ZooModel) -> tuple[float | int, float, int]:
     """Densest unit window as ``(base, anchor relative to base, count)``.
 
     Offset-form models are scanned in delta space (their clusters sit
     within float rounding of ``3^k``, where half-open float windows start
-    to miscount); other models use the exact density scan.
+    to miscount), and the base is the exact integer ``3^k`` of the largest
+    k with the most zeros; other models use the exact density scan.
     """
-    if model.delta_points is not None:
-        best_k, best_count = 0, -1
-        ks = sorted({p.k for p in model.delta_points})
-        for k in ks:
-            count = _cluster_count(model, k)
-            if count >= best_count:
-                best_k, best_count = k, count
-        return 3.0**best_k, -1.0, best_count
-    if model.zeros is None:
+    if model.k is not None:
+        counts = _cluster_counts(model)
+        best_k = counts.size - 1 - int(np.argmax(counts[::-1]))
+        return 3**best_k, -1.0, int(counts[best_k])
+    zs = model.zeros
+    if zs is None:
         raise PreconditionError("model has no strip zeros; shift it first")
-    entry = upper_density_profile(model.zeros, [1.0]).entries[0]
+    entry = upper_density_profile(zs, [1.0]).entries[0]
     return entry.witness, 0.0, entry.sup_count
 
 
-def relative_zero_set(model: ZooModel, base: float) -> ZeroSet:
+def relative_zero_set(model: ZooModel, base: float | int) -> ZeroSet:
     """Zeros as offsets from ``base``; exact for offset-form models.
 
-    With ``base = 3^k`` the differences ``3^k' - base`` are exact integer
-    float subtractions (for ``k <= 33``) and the cluster offsets come out
-    as ``-delta`` at full precision, which is what growth-window sampling
-    near a cluster needs.
+    With an integer ``base = 3^K`` an offset-form zero's offset is
+    ``3^k - 3^K - 3^delta_log3`` computed exactly and rounded once, for
+    every k.  The cluster offsets at ``k = K`` come out as ``-delta`` at
+    full precision, which is what growth-window sampling near a cluster
+    needs.
     """
-    if model.delta_points is not None:
-        if not model.shift > 0:
-            raise PreconditionError("shift the model into the strip first")
-        pts = [
-            StripPoint(
-                (3.0**p.k - base) - 3.0**p.delta_log3, model.shift, 1
-            )
-            for p in model.delta_points
-        ]
-        return ZeroSet(pts)
-    if model.zeros is None:
+    if not model.height > 0:
         raise PreconditionError("model has no strip zeros; shift it first")
-    return model.zeros.translated(-base)
+    if model.k is None:
+        re = model.re - base
+    else:
+        re = [
+            float((3**k - base) - Fraction(3.0**dl))
+            for k, dl in zip(model.k.tolist(), model.delta_log3.tolist())
+        ]
+    return ZeroSet(re, np.full(len(re), model.height), model.mult)
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +265,13 @@ def relative_zero_set(model: ZooModel, base: float) -> ZeroSet:
 
 
 def write_delta_csv(model: ZooModel, target) -> None:
-    if model.delta_points is None:
+    if model.k is None:
         raise PreconditionError("only offset-form models export delta CSV")
     lines = ["# format: delta-log3", "re_base,delta_log3,im,mult"]
-    for p in model.delta_points:
-        lines.append(f"{3**p.k},{p.delta_log3!r},{model.shift!r},1")
+    lines += [
+        f"{3**k},{dl!r},{model.height!r},1"
+        for k, dl in zip(model.k.tolist(), model.delta_log3.tolist())
+    ]
     write_text(target, "\n".join(lines) + "\n")
 
 
@@ -349,32 +287,42 @@ def _power_of_three(value: int, lineno: int) -> int:
 
 
 def load_delta_csv(source) -> ZooModel:
-    """Rebuild an offset-form point set from a path or a text stream."""
+    """Rebuild an offset-form point set from a path or a text stream.
+
+    Every row must carry ``mult`` 1 and the first row's ``im``, which must
+    be finite and >= 0 (0 means the zeros are real).
+    """
     lines = read_text(source).splitlines()
     if not lines or "delta-log3" not in lines[0]:
         raise InputFormatError("missing the delta-log3 format flag line")
-    deltas: list[DeltaPoint] = []
-    shift = 0.0
+    ks: list[int] = []
+    delta_log3: list[float] = []
+    height = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("re_base"):
             continue
         try:
-            base_s, dlog_s, im_s, _mult_s = line.split(",")
+            base_s, dlog_s, im_s, mult_s = line.split(",")
             k = _power_of_three(int(base_s), lineno)
-            deltas.append(DeltaPoint(k, -1, float(dlog_s)))
-            shift = float(im_s)
+            dl, im, mult = float(dlog_s), float(im_s), int(mult_s)
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
-    if not deltas:
+        if not dl < math.inf:
+            raise InputFormatError(f"line {lineno}: delta_log3 must be below inf, got {dl}")
+        if mult != 1:
+            raise InputFormatError(f"line {lineno}: mult must be 1, got {mult}")
+        if not 0 <= im < math.inf:
+            raise InputFormatError(f"line {lineno}: im must be finite and >= 0, got {im}")
+        if height is None:
+            height = im
+        elif im != height:
+            raise InputFormatError(f"line {lineno}: im {im!r} differs from the first row's")
+        ks.append(k)
+        delta_log3.append(dl)
+    if not ks:
         raise InputFormatError("no points in delta CSV")
-    zeros = None
-    if shift > 0:
-        zeros = ZeroSet(StripPoint(p.position, shift, 1) for p in deltas)
-    return ZooModel(
-        name="example2-import",
-        zeros=zeros,
-        log_modulus=None,
-        shift=shift,
-        delta_points=tuple(deltas),
-    )
+    try:
+        return _offset_form(ks, delta_log3, "example2-import", height, None)
+    except OverflowError:
+        raise InputFormatError("an offset-form zero lies beyond the float range") from None

@@ -15,7 +15,6 @@ from stripzeros import (
     HSWitness,
     HelsonSzegoBoundError,
     SampledFunction,
-    StripPoint,
     ZeroSet,
     check_fast2,
     cluster_model,
@@ -182,7 +181,7 @@ def test_criterion_5_branch_point_and_derivative():
 def test_criterion_6_density_of_progressions():
     results = []
     for d in (1, 2, 5):
-        zs = ZeroSet([StripPoint(float(d * n), 1.0, 1) for n in range(1000)])
+        zs = ZeroSet(d * np.arange(1000.0), np.ones(1000))
         e = upper_density_profile(zs, [100.0]).entries[0]
         results.append(abs(e.density - 1.0 / d) <= 2.0 / 100.0)
     report(6, all(results), "spacings 1,2,5 within 2/r of 1/d at r=100")

@@ -178,7 +178,7 @@ def test_unit_window_increment_beats_growth_constant():
 
 
 def test_phi_sum_single_zero():
-    zs = ZeroSet([StripPoint(0.0, 1.0, 1)])
+    zs = ZeroSet([0.0], [1.0])
     res = phi_sum(zs, 1.0, 10.0)
     assert res.value == pytest.approx(math.pi / 4)
     assert res.tail_bound == 0.0
@@ -186,14 +186,14 @@ def test_phi_sum_single_zero():
 
 def test_phi_sum_two_imaginary_zeros():
     # arctan(y*t/|z|^2) for each purely imaginary zero
-    zs = ZeroSet([StripPoint(0.0, 1.0, 1), StripPoint(0.0, 2.0, 1)])
+    zs = ZeroSet([0.0, 0.0], [1.0, 2.0])
     res = phi_sum(zs, 1.0, 10.0)
     assert res.value == pytest.approx(math.atan(1.0) + math.atan(0.5), abs=1e-14)
     assert res.value == pytest.approx(1.2490457723982544, abs=1e-12)
 
 
 def test_phi_sum_cluster_increment():
-    zs = ZeroSet([StripPoint(5.5, 1.0, 100)])
+    zs = ZeroSet([5.5], [1.0], [100])
     r = 100.0
     inc = phi_sum(zs, 6.0, r).value - phi_sum(zs, 5.0, r).value
     assert inc >= 100 * 0.5
@@ -217,7 +217,7 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi():
             rng.uniform(-30, 30, 400), rng.uniform(0.2, 3.0, 400), rng.integers(1, 4, 400)
         )
     ]
-    zs = ZeroSet(pts)
+    zs = ZeroSet.from_points(pts)
     ts = np.concatenate((
         np.linspace(-20.0, 20.0, 81),
         [2.0, -2.0, 13.0 / 3.0, 0.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
@@ -237,7 +237,7 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi():
 
 
 def test_phi_sum_truncation_radius_gate():
-    zs = ZeroSet([StripPoint(0.0, 1.0, 1)])
+    zs = ZeroSet([0.0], [1.0])
     with pytest.raises(TruncationError, match="2|t|".replace("|", r"\|")):
         phi_sum(zs, 10.0, 20.0)
     # an array of t is gated by its largest |t|
@@ -249,7 +249,7 @@ def test_phi_sum_truncation_radius_gate():
 def test_phi_sum_guards_the_tail_premise():
     # |z|^2 underflows to 0, so the zero looks branch-corrected at t = 0
     # although |z| > 2|t|; the tail bound would then be unfounded
-    zs = ZeroSet([StripPoint(1e-200, 1e-200, 1), StripPoint(0.0, 1.0, 1)])
+    zs = ZeroSet([1e-200, 0.0], [1e-200, 1.0])
     with np.errstate(invalid="ignore"):
         for t in (0.0, np.array([1.0, 0.0])):
             with pytest.raises(VerificationError, match="beyond 2"):
@@ -258,15 +258,9 @@ def test_phi_sum_guards_the_tail_premise():
 
 def test_phi_sum_tail_bound_is_certified():
     rng = np.random.default_rng(6)
-    pts = [
-        StripPoint(float(x), float(y), int(m))
-        for x, y, m in zip(
-            rng.uniform(-300, 300, 150),
-            rng.uniform(0.2, 3.0, 150),
-            rng.integers(1, 4, 150),
-        )
-    ]
-    zs = ZeroSet(pts)
+    zs = ZeroSet(
+        rng.uniform(-300, 300, 150), rng.uniform(0.2, 3.0, 150), rng.integers(1, 4, 150)
+    )
     full_radius = 1000.0
     for t in (-7.0, 0.5, 11.0):
         full = phi_sum(zs, t, full_radius).value
@@ -282,7 +276,7 @@ def test_phi_sum_tail_bound_is_certified():
 
 
 def test_growth_window_dense_unit_interval():
-    zs = ZeroSet([StripPoint(k / 100.0, 1.0, 1) for k in range(100)])
+    zs = ZeroSet(np.arange(100) / 100.0, np.ones(100))
     a = find_growth_window(zs, 50.0)
     assert a == 0.0
     r = 300.0
@@ -290,12 +284,12 @@ def test_growth_window_dense_unit_interval():
 
 
 def test_growth_window_absent_for_sparse_set():
-    zs = ZeroSet([StripPoint(float(n), 1.0, 1) for n in range(100)])
+    zs = ZeroSet(np.arange(100.0), np.ones(100))
     assert find_growth_window(zs, 50.0) is None
 
 
 def test_growth_window_multiple_point():
-    zs = ZeroSet([StripPoint(0.0, 1.0, 200)])
+    zs = ZeroSet([0.0], [1.0], [200])
     a = find_growth_window(zs, 50.0)
     assert a == -0.5
     # 200 * (phi(0.5) - phi(-0.5)) = 200 * 2*arctan(1/2)

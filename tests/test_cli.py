@@ -36,6 +36,17 @@ def test_density_empty_file_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("row", ["nan,1", "inf,1", "1,inf"])
+def test_density_nonfinite_zero_exits_2(tmp_path, capsys, row):
+    # a non-finite zero used to be counted (nan,1 between two zeros gave 3)
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text(f"0.5,1\n{row}\n0.7,1\n")
+    code, out, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "1")
+    assert code == 2
+    assert out == ""
+    assert "input error: line 2:" in err
+
+
 def test_density_bad_radii_exits_3(tmp_path, capsys):
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("0.0,1.0,1\n")

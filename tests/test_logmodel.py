@@ -10,7 +10,6 @@ from stripzeros import (
     HelsonSzegoBoundError,
     HilbertLogModel,
     SampledFunction,
-    StripPoint,
     ZeroSet,
     cluster_model,
     compose_helson_szego,
@@ -42,7 +41,7 @@ def test_hlf_empty_zero_set_is_linear():
 
 
 def test_hlf_single_imaginary_zero():
-    model = HilbertLogModel(0.0, 0.0, ZeroSet([StripPoint(0.0, 1.0, 1)]))
+    model = HilbertLogModel(0.0, 0.0, ZeroSet([0.0], [1.0]))
     for t in (-2.0, 0.5, 9.0):
         out = hlf_evaluate(model, t, 1000.0)
         assert out.value == pytest.approx(-math.atan(t), abs=1e-14)
@@ -51,9 +50,7 @@ def test_hlf_single_imaginary_zero():
 def test_hlf_truncation_convergence():
     # widening the truncation moves the values by no more than the
     # certified tail bound of the narrower sum
-    zs = ZeroSet(
-        [StripPoint(float(n), 1.0, 1) for n in range(-400, 401)]
-    )
+    zs = ZeroSet(np.arange(-400.0, 401.0), np.ones(801))
     model = HilbertLogModel(2 * math.pi, 0.0, zs)
     grid = template(-10.0, 0.25, 81)
     narrow, tail_narrow = hlf_samples(model, grid, truncation_radius=200.5)
@@ -63,7 +60,7 @@ def test_hlf_truncation_convergence():
 
 
 def test_hlf_samples_match_pointwise_evaluation():
-    zs = ZeroSet([StripPoint(-2.0, 0.7, 2), StripPoint(3.0, 1.5, 1)])
+    zs = ZeroSet([-2.0, 3.0], [0.7, 1.5], [2, 1])
     model = HilbertLogModel(1.0, 0.3, zs)
     grid = template(-5.0, 0.5, 21)
     sampled, _ = hlf_samples(model, grid)
@@ -73,12 +70,9 @@ def test_hlf_samples_match_pointwise_evaluation():
     # more zeros and nodes than one kernel block: samples equal the linear
     # term minus the array branch sum up to the order of subtraction
     rng = np.random.default_rng(8)
-    zs = ZeroSet([
-        StripPoint(float(x), float(y), int(m))
-        for x, y, m in zip(
-            rng.uniform(-60, 60, 600), rng.uniform(0.2, 3.0, 600), rng.integers(1, 4, 600)
-        )
-    ])
+    zs = ZeroSet(
+        rng.uniform(-60, 60, 600), rng.uniform(0.2, 3.0, 600), rng.integers(1, 4, 600)
+    )
     model = HilbertLogModel(2 * math.pi, 0.3, zs)
     grid = template(-25.0, 0.01, 5001)
     radius = 200.0
@@ -213,7 +207,8 @@ def test_scan_matches_literal_absolute_evaluation():
     n = int(round(13.0 / step)) + 1
     ts = t0 + step * np.arange(n)
     radius = 2.0 * float(np.abs(ts).max()) + 1.0
-    vals = np.array([-phi_sum(model.zeros, float(t), radius).value for t in ts])
+    zs = model.zeros
+    vals = np.array([-phi_sum(zs, float(t), radius).value for t in ts])
     literal = bmo_estimate(SampledFunction(t0, step, vals), 3.0, 3.0)
     assert row.bound == pytest.approx(literal.oscillation, abs=1e-9)
 

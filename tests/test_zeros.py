@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripzeros import (
     InputFormatError,
@@ -25,7 +26,7 @@ from stripzeros import (
 
 
 def progression(d=1.0, n=100, im=1.0):
-    return ZeroSet([StripPoint(d * k, im, 1) for k in range(n)])
+    return ZeroSet(d * np.arange(n), np.full(n, im))
 
 
 # ----------------------------------------------------------------------
@@ -81,11 +82,132 @@ def test_round_trip_bit_exact(fmt):
         StripPoint(float(rng.standard_normal() * 1e3), float(rng.uniform(0.1, 7)), int(m))
         for m in rng.integers(1, 5, size=40)
     ]
-    zs = ZeroSet(pts)
+    zs = ZeroSet.from_points(pts)
     buf = io.StringIO()
     save_zero_set(zs, buf, fmt=fmt)
     back = load_zero_set(io.StringIO(buf.getvalue()))
     assert back == zs
+
+
+@pytest.mark.parametrize("row", ["nan,1", "inf,1", "-inf,1", "1,inf", "1,nan", "1,-2", "1,1,0"])
+def test_load_rejects_bad_zero_with_its_line(row):
+    with pytest.raises(InputFormatError, match="line 3: (re|im|mult) must be"):
+        load_zero_set(io.StringIO(f"0.5,1\n# comment\n{row}\n0.7,1\n"))
+
+
+@pytest.mark.parametrize("mult", ["2.5", "true", '"3"', "0", "null"])
+def test_load_json_rejects_bad_mult(mult):
+    text = f'[{{"re": 0, "im": 1}}, {{"re": 1, "im": 1, "mult": {mult}}}]'
+    with pytest.raises(InputFormatError, match="record 1: mult must be"):
+        load_zero_set(io.StringIO(text))
+
+
+def test_load_json_reports_bad_coordinates():
+    with pytest.raises(InputFormatError, match="record 0: im must be positive"):
+        load_zero_set(io.StringIO('[{"re": 0, "im": -1}]'))
+
+
+# ----------------------------------------------------------------------
+# the array constructor
+
+
+def test_constructor_sorts_and_defaults_mult():
+    zs = ZeroSet([2.0, -1.0, 2.0], [1.0, 3.0, 0.5])
+    assert zs.res.tolist() == [-1.0, 2.0, 2.0]
+    assert zs.ims.tolist() == [3.0, 0.5, 1.0]
+    assert zs.mults.tolist() == [1, 1, 1]
+    assert (zs.alpha, zs.beta, zs.weight) == (0.5, 3.0, 3)
+
+
+def test_constructor_rejects_the_first_bad_row():
+    with pytest.raises(InputFormatError, match="zero 1: im must be positive"):
+        ZeroSet([0.0, 1.0, math.nan], [1.0, 0.0, 1.0])
+    with pytest.raises(InputFormatError, match="zero 0: mult must be an integer"):
+        ZeroSet([0.0], [1.0], [1.5])
+    with pytest.raises(InputFormatError, match="zero 0: mult must be an integer"):
+        ZeroSet([0.0], [1.0], [10**30])
+    with pytest.raises(PreconditionError):
+        ZeroSet([], [])
+    with pytest.raises(PreconditionError):
+        ZeroSet([0.0, 1.0], [1.0])
+
+
+def test_arrays_are_the_only_state():
+    src = np.array([3.0, 1.0])
+    zs = ZeroSet(src, [1.0, 1.0], [2, 1])
+    src[0] = 99.0  # the constructor copied its input
+    assert zs.res.tolist() == [1.0, 3.0]
+    with pytest.raises(ValueError):
+        zs.res[0] = 0.0
+    assert not hasattr(zs, "__dict__")
+    assert zs.points == (StripPoint(1.0, 1.0, 1), StripPoint(3.0, 1.0, 2))
+    assert list(zs) == list(zs.points)
+    assert zs.expanded() == ZeroSet([1.0, 3.0, 3.0], [1.0, 1.0, 1.0])
+    assert zs.translated(-1.0) == ZeroSet([0.0, 2.0], [1.0, 1.0], [1, 2])
+
+
+# ----------------------------------------------------------------------
+# properties over random multisets with tied real parts
+
+_ties = st.integers(-20, 20).map(lambda k: k / 4.0)
+_rows = st.lists(
+    st.tuples(
+        _ties | st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.5, 1.0]) | st.floats(min_value=0.0, exclude_min=True,
+                                                allow_infinity=False),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _columns(rows):
+    return [np.array(col) for col in zip(*rows)]
+
+
+@settings(deadline=None)
+@given(rows=_rows, data=st.data())
+def test_shuffled_arrays_equal_sorted_points(rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    zs = ZeroSet(*_columns(shuffled))
+    pts = sorted(StripPoint(*row) for row in rows)
+    assert zs == ZeroSet.from_points(pts)
+    assert zs.points == tuple(pts)
+
+
+@settings(deadline=None)
+@given(rows=_rows, fmt=st.sampled_from(["csv", "json"]))
+def test_round_trip_is_bit_exact_property(rows, fmt):
+    zs = ZeroSet(*_columns(rows))
+    buf = io.StringIO()
+    save_zero_set(zs, buf, fmt=fmt)
+    back = load_zero_set(io.StringIO(buf.getvalue()))
+    for a, b in ((zs.res, back.res), (zs.ims, back.ims), (zs.mults, back.mults)):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_ties | st.floats(-5.0, 5.0), st.just(1.0), st.integers(1, 3)),
+        min_size=1,
+        max_size=25,
+    ),
+    radii=st.lists(st.sampled_from([0.25, 1.0, 2.5]) | st.floats(0.1, 12.0),
+                   min_size=1, max_size=3, unique=True).map(sorted),
+    probes=st.lists(st.floats(-20.0, 20.0), max_size=5),
+)
+def test_density_profile_matches_brute_force_count(rows, radii, probes):
+    def count(a, r):
+        return sum(m for x, _, m in rows if a <= x < a + r)
+
+    prof = upper_density_profile(ZeroSet(*_columns(rows)), radii)
+    for r, e in zip(radii, prof.entries):
+        anchors = [x for x, _, _ in rows] + [x - r for x, _, _ in rows]
+        assert e.sup_count == max(count(a, r) for a in anchors)
+        assert count(e.witness, r) == e.sup_count
+        assert all(count(a, r) <= e.sup_count for a in probes)
 
 
 # ----------------------------------------------------------------------
@@ -98,12 +220,12 @@ def test_window_count_unit_progression():
 
 
 def test_window_count_multiplicity():
-    zs = ZeroSet([StripPoint(5.0, 1.0, 7)])
+    zs = ZeroSet([5.0], [1.0], [7])
     assert window_count(zs, 5.0, 1.0) == 7
 
 
 def test_window_count_half_open():
-    zs = ZeroSet([StripPoint(5.0, 1.0, 1)])
+    zs = ZeroSet([5.0], [1.0])
     assert window_count(zs, 4.0, 1.0) == 0
     assert window_count(zs, 5.0, 1.0) == 1
 
@@ -115,10 +237,7 @@ def test_window_count_rejects_bad_length():
 
 def test_window_count_additive_over_adjacent_windows():
     rng = np.random.default_rng(11)
-    zs = ZeroSet(
-        [StripPoint(float(x), 1.0, int(m)) for x, m in
-         zip(rng.uniform(-50, 50, 200), rng.integers(1, 4, 200))]
-    )
+    zs = ZeroSet(rng.uniform(-50, 50, 200), np.ones(200), rng.integers(1, 4, 200))
     for _ in range(200):
         x = float(rng.uniform(-60, 60))
         r1, r2 = float(rng.uniform(0.1, 20)), float(rng.uniform(0.1, 20))
@@ -156,10 +275,7 @@ def test_density_band_invariant(d):
 
 def test_density_matches_brute_force():
     rng = np.random.default_rng(5)
-    zs = ZeroSet(
-        [StripPoint(float(x), 1.0, int(m)) for x, m in
-         zip(rng.uniform(0, 30, 60), rng.integers(1, 3, 60))]
-    )
+    zs = ZeroSet(rng.uniform(0, 30, 60), np.ones(60), rng.integers(1, 3, 60))
     for r in (0.7, 2.3):
         e = upper_density_profile(zs, [r]).entries[0]
         brute = max(
@@ -173,8 +289,8 @@ def test_density_matches_brute_force():
 def test_density_monotone_under_inclusion():
     rng = np.random.default_rng(9)
     xs = rng.uniform(-20, 20, 80)
-    part = ZeroSet([StripPoint(float(x), 1.0, 1) for x in xs[:40]])
-    full = ZeroSet([StripPoint(float(x), 1.0, 1) for x in xs])
+    part = ZeroSet(xs[:40], np.ones(40))
+    full = ZeroSet(xs, np.ones(80))
     radii = [0.5, 2.0, 10.0]
     small = upper_density_profile(part, radii).densities()
     big = upper_density_profile(full, radii).densities()
@@ -200,17 +316,17 @@ def test_separation_adjacent_integers():
 
 
 def test_separation_multiple_point_is_zero():
-    assert separation_constant(ZeroSet([StripPoint(0.0, 1.0, 2)])) == 0.0
+    assert separation_constant(ZeroSet([0.0], [1.0], [2])) == 0.0
 
 
 def test_separation_vertical_pair():
-    zs = ZeroSet([StripPoint(0.0, 1.0, 1), StripPoint(0.0, 2.0, 1)])
+    zs = ZeroSet([0.0, 0.0], [1.0, 2.0])
     assert separation_constant(zs) == 1.0
 
 
 def test_separation_needs_two_points():
     with pytest.raises(PreconditionError):
-        separation_constant(ZeroSet([StripPoint(0.0, 1.0, 1)]))
+        separation_constant(ZeroSet([0.0], [1.0]))
 
 
 def _min_colors(points, delta):
@@ -253,7 +369,7 @@ def test_decompose_already_separated():
 
 
 def test_decompose_halves_against_brute_force():
-    zs = ZeroSet([StripPoint(n / 2.0, 1.0, 1) for n in range(10)])
+    zs = ZeroSet(np.arange(10) / 2.0, np.ones(10))
     classes, bound = decompose_uniformly_discrete(zs, 0.8)
     assert len(classes) == 2
     assert _min_colors(zs.expanded().points, 0.8) == 2
@@ -262,16 +378,13 @@ def test_decompose_halves_against_brute_force():
 
 
 def test_decompose_coincident_points_split():
-    classes, _ = decompose_uniformly_discrete(ZeroSet([StripPoint(0.0, 1.0, 3)]), 0.1)
+    classes, _ = decompose_uniformly_discrete(ZeroSet([0.0], [1.0], [3]), 0.1)
     assert len(classes) == 3
 
 
 def test_decompose_classes_are_separated_and_partition():
     rng = np.random.default_rng(17)
-    zs = ZeroSet(
-        [StripPoint(float(x), float(y), int(m)) for x, y, m in
-         zip(rng.uniform(0, 10, 40), rng.uniform(0.5, 2.0, 40), rng.integers(1, 3, 40))]
-    )
+    zs = ZeroSet(rng.uniform(0, 10, 40), rng.uniform(0.5, 2.0, 40), rng.integers(1, 3, 40))
     delta = 0.4
     classes, bound = decompose_uniformly_discrete(zs, delta)
     assert len(classes) <= bound
@@ -287,7 +400,7 @@ def test_decompose_window_bound_heuristic():
     # windows of length 1 hold <= C points => at delta = 1/(2C) few classes
     rng = np.random.default_rng(23)
     xs = np.sort(rng.uniform(0, 50, 120))
-    zs = ZeroSet([StripPoint(float(x), 1.0, 1) for x in xs])
+    zs = ZeroSet(xs, np.ones(120))
     c_max = upper_density_profile(zs, [1.0]).entries[0].sup_count
     classes, _ = decompose_uniformly_discrete(zs, 1.0 / (2 * c_max))
     assert len(classes) <= 2 * c_max + 1
@@ -298,26 +411,24 @@ def test_decompose_window_bound_heuristic():
 
 
 def test_blaschke_single_values():
-    assert blaschke_sum(ZeroSet([StripPoint(0.0, 1.0, 1)])) == 1.0
-    assert blaschke_sum(ZeroSet([StripPoint(3.0, 4.0, 1)])) == pytest.approx(0.16)
+    assert blaschke_sum(ZeroSet([0.0], [1.0])) == 1.0
+    assert blaschke_sum(ZeroSet([3.0], [4.0])) == pytest.approx(0.16)
 
 
 def test_blaschke_partial_sum():
-    zs = ZeroSet([StripPoint(1.0, 1.0, 1), StripPoint(2.0, 1.0, 1)])
+    zs = ZeroSet([1.0, 2.0], [1.0, 1.0])
     assert blaschke_sum(zs) == pytest.approx(0.5 + 0.2)
 
 
 def test_blaschke_subset_bound_and_tail():
     rng = np.random.default_rng(2)
-    pts = [
-        StripPoint(float(x), float(y), 1)
-        for x, y in zip(rng.uniform(-40, 40, 60), rng.uniform(0.2, 3, 60))
-    ]
-    zs = ZeroSet(pts)
-    sub = ZeroSet(pts[::2])
+    xs, ys = rng.uniform(-40, 40, 60), rng.uniform(0.2, 3, 60)
+    zs = ZeroSet(xs, ys)
+    sub = ZeroSet(xs[::2], ys[::2])
     assert blaschke_sum(sub) <= blaschke_sum(zs) + 1e-15
     for radius in (5.0, 20.0):
-        inner = ZeroSet([p for p in pts if math.hypot(p.re, p.im) <= radius])
+        keep = np.hypot(xs, ys) <= radius
+        inner = ZeroSet(xs[keep], ys[keep])
         assert blaschke_tail(zs, radius) == pytest.approx(
             blaschke_sum(zs) - blaschke_sum(inner)
         )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stripzeros import (
+    InputFormatError,
     PreconditionError,
     blaschke_sum,
     cluster_model,
@@ -69,7 +70,8 @@ def test_sine_zero_geometry():
 
 def test_example1_factor_two_zeros():
     model = referee_example1(2, window=300.0)
-    twos = [x for x, mult in model.raw_points if mult == 2]
+    assert model.height == 0.0 and model.zeros is None  # real zeros
+    twos = sorted(model.re[model.mult == 2].tolist())
     expected = [8 * math.pi * (m + 0.5) for m in range(-15, 15)]
     expected = [x for x in expected if abs(x) <= 300.0]
     assert twos == pytest.approx(sorted(expected))
@@ -122,13 +124,16 @@ def test_example1_shift_closed_form():
 
 def test_example2_frozen_offsets():
     model = referee_example2(5)
-    by_kn = {(p.k, p.n): p for p in model.delta_points}
-    d53 = 3.0 ** by_kn[(5, 3)].delta_log3
+    # zeros are generated in (k, n) order, 1 <= n < k
+    order = [(k, n) for k in range(2, 6) for n in range(1, k)]
+    assert model.k.tolist() == [k for k, _ in order]
+    i53, i52 = order.index((5, 3)), order.index((5, 2))
+    d53 = 3.0 ** float(model.delta_log3[i53])
     assert d53 == pytest.approx(243.0 / 730.0, rel=1e-12)
-    assert by_kn[(5, 3)].position == pytest.approx(242.66712328767124, rel=1e-12)
-    d52 = 3.0 ** by_kn[(5, 2)].delta_log3
+    assert model.re[i53] == pytest.approx(242.66712328767124, rel=1e-12)
+    d52 = 3.0 ** float(model.delta_log3[i52])
     assert d52 == pytest.approx(24.3, rel=1e-12)
-    assert by_kn[(5, 2)].position == pytest.approx(218.7, rel=1e-12)
+    assert model.re[i52] == pytest.approx(218.7, rel=1e-12)
 
 
 def test_example2_counts_match_exact_brute_force():
@@ -150,7 +155,7 @@ def test_example2_count_claim_verdicts():
 def test_example2_deltas_are_distinct():
     model = referee_example2(20)
     for k in range(2, 21):
-        logs = sorted(p.delta_log3 for p in model.delta_points if p.k == k)
+        logs = sorted(model.delta_log3[model.k == k].tolist())
         assert all(b - a > 1e-12 * max(1.0, abs(a)) for a, b in zip(logs, logs[1:]))
 
 
@@ -184,21 +189,43 @@ def test_example2_density_grows_with_k_max():
 def test_example2_relative_offsets_are_exact():
     model = shift_to_strip(referee_example2(30), 1.0)
     base, anchor, count = hot_unit_window(model)
-    assert base == 3.0**30
+    assert base == 3**30 and isinstance(base, int)
     assert anchor == -1.0
     assert count == 24
     rel = relative_zero_set(model, base)
     # offsets -delta; the deepest ones sit far below the float spacing of
     # 3^30 itself (the last two underflow double precision entirely)
-    cluster = sorted(-p.re for p in rel.points if -1.0 < p.re <= 0.0)
+    cluster = sorted((-rel.res[(rel.res > -1.0) & (rel.res <= 0.0)]).tolist())
     assert len(cluster) == 24
     assert min(d for d in cluster if d > 0) < 1e-150
     deltas = sorted(
-        3.0**p.delta_log3
-        for p in model.delta_points
-        if p.k == 30 and p.delta_log3 < 0
+        3.0**dl for dl in model.delta_log3[(model.k == 30) & (model.delta_log3 < 0)].tolist()
     )
     assert cluster == pytest.approx(deltas, rel=1e-15)
+
+
+@pytest.mark.parametrize("k_max", [34, 36])
+def test_example2_relative_offsets_beyond_float_integers(k_max):
+    # 3^k is no longer a float for k >= 34; every offset must still be the
+    # exact 3^k - 3^K - 3^delta_log3 rounded once
+    model = shift_to_strip(referee_example2(k_max), 1.0)
+    base, _, _ = hot_unit_window(model)
+    assert base == 3**k_max
+    rel = relative_zero_set(model, base)
+    ks, dls = model.k.tolist(), model.delta_log3.tolist()
+    exact = sorted(
+        float(Fraction(3**k - 3**k_max) - Fraction(3.0**dl)) for k, dl in zip(ks, dls)
+    )
+    assert rel.res.tolist() == exact
+    cluster = {-(3.0**dl) for k, dl in zip(ks, dls) if k == k_max}
+    assert cluster <= set(rel.res.tolist())
+
+
+def test_unshifted_offset_model_has_no_strip_zeros():
+    model = referee_example2(5)
+    assert model.zeros is None
+    with pytest.raises(PreconditionError, match="shift it first"):
+        relative_zero_set(model, 3**5)
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +247,39 @@ def test_delta_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0].startswith("# format: delta-log3")
     back = load_delta_csv(io.StringIO(text))
-    assert back.shift == 1.0
-    assert [(p.k, p.delta_log3) for p in back.delta_points] == [
-        (p.k, p.delta_log3) for p in model.delta_points
-    ]
+    assert back.height == 1.0
+    assert back.k.tolist() == model.k.tolist()
+    assert back.delta_log3.tolist() == model.delta_log3.tolist()
+    assert back.zeros == model.zeros
     count, ok = count_claim_check(back, 8)
     assert (count, ok) == count_claim_check(model, 8)
+
+
+def _delta_csv(*rows):
+    return io.StringIO("# format: delta-log3\nre_base,delta_log3,im,mult\n" + "".join(rows))
+
+
+def test_delta_csv_rejects_a_changing_im():
+    with pytest.raises(InputFormatError, match="line 4: im 2.0 differs"):
+        load_delta_csv(_delta_csv("9,0.5,1.0,1\n", "27,0.5,2.0,1\n"))
+
+
+def test_delta_csv_rejects_negative_im():
+    with pytest.raises(InputFormatError, match="line 3: im must be finite and >= 0"):
+        load_delta_csv(_delta_csv("9,0.5,-1.0,1\n"))
+
+
+def test_delta_csv_rejects_multiple_zeros():
+    with pytest.raises(InputFormatError, match="line 3: mult must be 1, got 5"):
+        load_delta_csv(_delta_csv("9,0.5,1.0,5\n", "27,0.5,2.0,1\n"))
+
+
+def test_delta_csv_rejects_unbounded_offsets():
+    for dl in ("nan", "inf"):
+        with pytest.raises(InputFormatError, match="line 3: delta_log3 must be below inf"):
+            load_delta_csv(_delta_csv(f"9,{dl},1.0,1\n"))
+    with pytest.raises(InputFormatError, match="beyond the float range"):
+        load_delta_csv(_delta_csv("9,1000,1.0,1\n"))
 
 
 def test_delta_csv_missing_path(tmp_path):
