@@ -128,6 +128,16 @@ def test_bmo_on_exported_log_samples(tmp_path, capsys):
     assert 0.5 <= osc <= 2.0
 
 
+def test_bmo_shortest_length_is_two_grid_steps(tmp_path, capsys):
+    # the shortest length is exactly 2h; the anchors must not drift, and an
+    # interval whose b - a rounds a few ulps below 2h must not exit 3
+    src = tmp_path / "f.csv"
+    SampledFunction(-100.0, 0.02, np.sin(0.37 * np.arange(10001))).to_csv(src)
+    code, out, _ = run(capsys, "bmo", "--input", str(src), "--lengths", "0.04:50")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+
+
 def test_zoo_export_then_density(tmp_path, capsys):
     out_path = tmp_path / "sine.csv"
     code, _, _ = run(
