@@ -7,6 +7,7 @@ All outputs are plain CSV (plot-ready data, no rendering).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -52,7 +53,10 @@ def _parse_floats(text: str | None) -> list[float]:
 
 
 def _parse_ks(text: str | None) -> list[int]:
-    return [int(v) for v in _parse_floats(text)]
+    ks = _parse_floats(text)
+    if not all(k.is_integer() for k in ks):
+        raise InputFormatError(f"--K needs integers, got {text!r}")
+    return [int(k) for k in ks]
 
 
 def _load_zeros(path: str):
@@ -74,6 +78,8 @@ def _grid_template(args: argparse.Namespace) -> SampledFunction:
     if args.grid is None:
         raise InputFormatError("this command needs --grid t0:h:n")
     t0, h, n = _parse_grid(args.grid)
+    if n < 1:
+        raise InputFormatError(f"grid needs n >= 1 nodes, got {n}")
     return SampledFunction(t0, h, np.zeros(n))
 
 
@@ -99,8 +105,10 @@ def cmd_phi(args: argparse.Namespace) -> int:
         if len(vals) != 2:
             raise InputFormatError(f"--zero needs X,Y, got {args.zero!r}")
         x, y = vals
-        if not y > 0:
-            raise InputFormatError(f"--zero needs a positive imaginary part, got {y}")
+        if not (math.isfinite(x) and 0 < y < math.inf):
+            raise InputFormatError(
+                f"--zero needs a finite X and a finite positive Y, got {args.zero!r}"
+            )
         values = _branch_sum(
             np.zeros(ts.size), np.array([x]), np.array([y]), np.ones(1), ts
         )
@@ -178,10 +186,12 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
     thresholds = _parse_floats(args.thresholds)
-    if any(t <= 0 for t in thresholds) or any(
+    if not all(0 < t < math.inf for t in thresholds) or any(
         b <= a for a, b in zip(thresholds, thresholds[1:])
     ):
-        raise InputFormatError(f"thresholds must be positive and increasing, got {thresholds}")
+        raise InputFormatError(
+            f"thresholds must be finite, positive and increasing, got {thresholds}"
+        )
     if not args.model:
         raise InputFormatError("verify-theorem needs --model NAME")
     k_list = _parse_ks(args.K)

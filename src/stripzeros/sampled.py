@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,9 +19,11 @@ __all__ = ["SampledFunction"]
 class SampledFunction:
     """Samples ``values[k] = f(t0 + k*h)`` on a uniform grid.
 
-    Values must be finite.  Between nodes the function is understood as its
-    linear interpolant, and outside the grid as constant (the edge values),
-    which is also what :func:`numpy.interp` does.
+    Values must be finite, and so must ``t0``, ``h > 0`` and the last node
+    ``t_end``, so that every node is a finite float.  Between nodes the
+    function is understood as its linear interpolant, and outside the grid
+    as constant (the edge values), which is also what :func:`numpy.interp`
+    does.
     """
 
     t0: float
@@ -27,14 +31,22 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise InputFormatError(f"grid step must be positive, got {self.h}")
+        if not np.isfinite(self.t0):
+            raise InputFormatError(f"grid origin must be finite, got {self.t0}")
+        if not 0 < self.h < np.inf:
+            raise InputFormatError(
+                f"grid step must be positive and finite, got {self.h}"
+            )
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise InputFormatError("values must be a nonempty 1-d array")
         if not np.isfinite(vals).all():
             raise InputFormatError("sampled values must be finite")
         self.values = vals
+        if not np.isfinite(self.t_end):
+            raise InputFormatError(
+                f"grid end {self.t0} + {self.n - 1}*{self.h} is not finite"
+            )
 
     @property
     def n(self) -> int:
@@ -81,44 +93,113 @@ class SampledFunction:
     def from_csv(cls, source) -> "SampledFunction":
         """Read ``t,value`` rows from a path or a text stream.
 
-        A ``# t0=.. h=.. n=..`` header pins the grid; without one the grid
-        runs from the first to the last ``t``.  Every ``t`` must sit within
-        ``1e-6*h`` of its grid node and the row count must match ``n``.
+        The leading block (blank lines, ``#`` comments and one ``t,value``
+        column header) may hold a ``# t0=.. h=.. n=..`` header that pins the
+        grid; without one the grid runs from the first to the last ``t``.
+        Every ``t`` must sit within ``1e-6*h`` of its grid node and the row
+        count must match ``n``.  Rows are parsed by numpy's C reader, whose
+        decimal conversion is correctly rounded, like ``float``.
         """
-        t0 = h = n = None
-        ts: list[float] = []
-        vals: list[float] = []
-        for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.lower().startswith("t,"):
-                continue
-            try:
-                if line.startswith("#"):
-                    parts = dict(
-                        kv.split("=", 1) for kv in line[1:].split() if "=" in kv
-                    )
-                    if "t0" in parts and "h" in parts:
-                        t0, h = float(parts["t0"]), float(parts["h"])
-                    if "n" in parts:
-                        n = int(parts["n"])
-                    continue
-                a, b = line.split(",")
-                ts.append(float(a))
-                vals.append(float(b))
-            except ValueError as exc:
-                raise InputFormatError(f"line {lineno}: {exc}") from None
-        if not vals:
+        text = read_text(source)
+        lines = text.split("\n")
+        t0, h, n, first = _read_header(lines)
+        if first == len(lines):
             raise InputFormatError("no samples found")
-        if t0 is None or h is None:
+        offset = sum(len(line) + 1 for line in lines[:first])
+        late = text.find("#", offset) >= 0 and _LATE_HEADER.search(text, offset)
+        if late:
+            lineno = first + 1 + text.count("\n", offset, late.start())
+            raise InputFormatError(
+                f"line {lineno}: grid header after the first data row"
+            )
+        data = lines[first:]
+        try:
+            rows = _rows(data)
+        except ValueError:
+            k = first + _first_bad_line(data)
+            raise InputFormatError(
+                f"line {k + 1}: expected a t,value row of two numbers, got {lines[k]!r}"
+            ) from None
+        ts = rows[:, 0]
+        if t0 is None:
             t0 = ts[0]
-            h = (ts[-1] - ts[0]) / max(len(ts) - 1, 1)
-        f = cls(t0, h, np.array(vals))
+            h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
+        f = cls(float(t0), float(h), rows[:, 1].copy())
         if n is not None and n != f.n:
             raise InputFormatError(f"header says n={n} but {f.n} rows were read")
-        off = np.flatnonzero(~(np.abs(np.array(ts) - f.grid) <= 1e-6 * f.h))
+        off = np.flatnonzero(~(np.abs(ts - f.grid) <= 1e-6 * f.h))
         if off.size:
             k = int(off[0])
             raise InputFormatError(
-                f"row {k + 1}: t={ts[k]!r} is off the grid node {f.t0!r} + {k}*{f.h!r}"
+                f"row {k + 1}: t={float(ts[k])!r} is off the grid node "
+                f"{f.t0!r} + {k}*{f.h!r}"
             )
         return f
+
+
+# a grid key (t0=, h= or n=) in a comment below the first data row
+_LATE_HEADER = re.compile(r"#[^\n]*?(?<=[#\s])(?:t0|h|n)=")
+
+
+def _read_header(lines: list[str]):
+    """Scan the leading block of a sampled CSV in Python.
+
+    Returns ``(t0, h, n, first)``: the grid header fields (None where
+    absent) and the index of the first data row in ``lines``.  At most one
+    comment may carry grid keys, and it must give both ``t0`` and ``h`` or
+    neither.
+    """
+    t0 = h = n = header = None
+    columns = False
+    for i, raw in enumerate(lines):
+        line = raw.strip()
+        if line.startswith("#"):
+            parts = dict(kv.split("=", 1) for kv in line[1:].split() if "=" in kv)
+            if not parts.keys() & {"t0", "h", "n"}:
+                continue
+            if header is not None:
+                raise InputFormatError(
+                    f"line {i + 1}: second grid header (first on line {header})"
+                )
+            if ("t0" in parts) != ("h" in parts):
+                raise InputFormatError(f"line {i + 1}: grid header needs both t0 and h")
+            header = i + 1
+            try:
+                if "t0" in parts:
+                    t0, h = float(parts["t0"]), float(parts["h"])
+                if "n" in parts:
+                    n = int(parts["n"])
+            except ValueError as exc:
+                raise InputFormatError(f"line {i + 1}: {exc}") from None
+        elif line.lower().startswith("t,") and not columns:
+            columns = True
+        elif line:
+            return t0, h, n, i
+    return t0, h, n, len(lines)
+
+
+def _rows(lines) -> np.ndarray:
+    """``t,value`` rows of a list of lines, as an (m, 2) array."""
+    rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    if rows.size and rows.shape[1] != 2:
+        raise ValueError(f"expected 2 columns, got {rows.shape[1]}")
+    return rows
+
+
+def _first_bad_line(lines: list[str]) -> int:
+    """Index of the first line that :func:`_rows` rejects.
+
+    Only called once the whole block failed.  Bisection keeps a failing
+    range, so the cost is about two parses of the block.
+    """
+    lo, hi = 0, len(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a comment-only half
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _rows(lines[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+    return lo

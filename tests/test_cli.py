@@ -251,3 +251,39 @@ def test_verify_theorem_unknown_model(capsys):
     code, _, err = run(capsys, "verify-theorem", "--model", "nope", "--K", "5")
     assert code == 2
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi", "--zero", "0,1", "--grid", "0:0.1:-5"], "n >= 1"),
+        (["phi", "--zero", "0,1", "--grid", "inf:0.1:3"], "origin"),
+        (["hilbert", "--const", "1", "--grid", "0:1e308:3"], "grid end"),
+        (["zoo", "--model", "sine", "--K", "inf"], "--K needs integers"),
+        (["zoo", "--model", "sine", "--K", "nan"], "--K needs integers"),
+        (["zoo", "--model", "sine", "--K", "2.5"], "--K needs integers"),
+        (["verify-theorem", "--model", "cluster", "--K", "12,2.5"], "--K needs integers"),
+        (["phi", "--zero", "nan,1", "--grid", "0:1:3"], "--zero needs a finite"),
+        (["phi", "--zero", "0,inf", "--grid", "0:1:3"], "--zero needs a finite"),
+        (
+            ["verify-theorem", "--model", "cluster", "--K", "12", "--thresholds", "nan"],
+            "thresholds must be finite",
+        ),
+    ],
+    ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
+         "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan"],
+)
+def test_bad_numbers_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error: " in err and message in err
+
+
+def test_hilbert_input_late_header_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    src.write_text("# t0=0 h=1 n=2\nt,value\n0,1\n# t0=5 h=1\n1,2\n")
+    code, out, err = run(capsys, "hilbert", "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert "input error: line 4: grid header after the first data row" in err
