@@ -22,7 +22,6 @@ from .zeros import (
     CartwrightEstimate,
     DensityProfile,
     ProfileEntry,
-    StripPoint,
     ZeroSet,
     blaschke_sum,
     blaschke_tail,
@@ -43,7 +42,6 @@ from .argbranch import (
     phi,
     phi_derivative,
     phi_sum,
-    psi,
 )
 from .sampled import SampledFunction
 from .oscillation import (
@@ -71,10 +69,8 @@ from .logmodel import (
     ComposedWeight,
     DivergenceRow,
     HilbertLogModel,
-    HlfValue,
     HSWitness,
     compose_helson_szego,
-    hlf_evaluate,
     hlf_samples,
     reconstruct_log_modulus,
     theorem_divergence_scan,

@@ -37,7 +37,6 @@ __all__ = [
     "ArgBranchValue",
     "PhiSumResult",
     "growth_constant",
-    "psi",
     "phi",
     "phi_derivative",
     "phi_sum",
@@ -86,15 +85,6 @@ def growth_constant(alpha: float, beta: float) -> float:
     if beta < alpha:
         raise PreconditionError(f"need alpha <= beta, got {alpha} > {beta}")
     return min(alpha / (alpha * alpha + 1.0), beta / (beta * beta + 1.0))
-
-
-def psi(z: complex, t: float) -> float:
-    """Principal-branch angle; the swap point maps to its one-sided limit."""
-    x, y = _check_upper(z)
-    d = y * y + x * (x - t)
-    if d == 0.0:
-        return math.copysign(math.pi / 2, y * t)
-    return math.atan(y * t / d)
 
 
 def phi(z: complex, t: float) -> ArgBranchValue:

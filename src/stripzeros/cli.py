@@ -29,31 +29,30 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_floats(
+    text: str | None, what: str, sep: str = ",", count: int | None = None
+) -> list[float]:
+    """The finite numbers in ``text``, split at ``sep``; every number a flag carries.
+
+    A number that does not parse or is not finite, or a list of other than
+    ``count`` numbers when ``count`` is given, raises ``InputFormatError``
+    with ``what`` and the text.
+    """
     try:
-        t0, h, n = text.split(":")
-        return float(t0), float(h), int(n)
+        vals = [float(v) for v in text.split(sep)] if text else []
     except ValueError:
-        raise InputFormatError(f"bad grid spec {text!r}, expected t0:h:n") from None
+        vals = [math.nan]
+    if not all(map(math.isfinite, vals)) or count not in (None, len(vals)):
+        raise InputFormatError(f"{what}, got {text!r}")
+    return vals
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    try:
-        a, b = text.split(":")
-        return float(a), float(b)
-    except ValueError:
-        raise InputFormatError(f"bad range {text!r}, expected min:max") from None
-
-
-def _parse_floats(text: str | None) -> list[float]:
-    try:
-        return [float(v) for v in (text or "").split(",") if v]
-    except ValueError:
-        raise InputFormatError(f"bad list {text!r}") from None
+def _parse_number(text: str, flag: str) -> float:
+    return _parse_floats(text, f"{flag} needs a finite number", count=1)[0]
 
 
 def _parse_ks(text: str | None) -> list[int]:
-    ks = _parse_floats(text)
+    ks = _parse_floats(text, "--K needs integers")
     if not all(k.is_integer() for k in ks):
         raise InputFormatError(f"--K needs integers, got {text!r}")
     return [int(k) for k in ks]
@@ -77,16 +76,17 @@ def _load_zeros(path: str):
 def _grid_template(args: argparse.Namespace) -> SampledFunction:
     if args.grid is None:
         raise InputFormatError("this command needs --grid t0:h:n")
-    t0, h, n = _parse_grid(args.grid)
-    if n < 1:
-        raise InputFormatError(f"grid needs n >= 1 nodes, got {n}")
-    return SampledFunction(t0, h, np.zeros(n))
+    what = "--grid needs t0:h:n: finite origin t0 and step h, integer n >= 1"
+    t0, h, n = _parse_floats(args.grid, what, ":", count=3)
+    if not (n >= 1 and n.is_integer()):
+        raise InputFormatError(f"{what}, got {args.grid!r}")
+    return SampledFunction(t0, h, np.zeros(int(n)))
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     if not args.zeros:
         raise InputFormatError("density needs --zeros PATH")
-    radii = _parse_floats(args.radii)
+    radii = _parse_floats(args.radii, "--radii needs finite numbers")
     if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
     profile = upper_density_profile(_load_zeros(args.zeros), radii)
@@ -100,15 +100,20 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_phi(args: argparse.Namespace) -> int:
     ts = _grid_template(args).grid
+    radius = None
+    if args.truncation is not None:
+        radius = _parse_number(args.truncation, "--truncation")
     if args.zero:
-        vals = _parse_floats(args.zero)
-        if len(vals) != 2:
-            raise InputFormatError(f"--zero needs X,Y, got {args.zero!r}")
-        x, y = vals
-        if not (math.isfinite(x) and 0 < y < math.inf):
+        if args.zeros:
+            raise InputFormatError("--zero conflicts with --zeros; give one of them")
+        if radius is not None:
             raise InputFormatError(
-                f"--zero needs a finite X and a finite positive Y, got {args.zero!r}"
+                "--zero conflicts with --truncation, which only --zeros takes"
             )
+        what = "--zero needs a finite X and a finite positive Y"
+        x, y = _parse_floats(args.zero, what, count=2)
+        if not y > 0:
+            raise InputFormatError(f"{what}, got {args.zero!r}")
         values = _branch_sum(
             np.zeros(ts.size), np.array([x]), np.array([y]), np.ones(1), ts
         )
@@ -116,7 +121,6 @@ def cmd_phi(args: argparse.Namespace) -> int:
         lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
     elif args.zeros:
         zs = _load_zeros(args.zeros)
-        radius = args.truncation
         if radius is None:
             radius = default_truncation_radius(zs, float(np.abs(ts).max()))
         r = phi_sum(zs, ts, radius)
@@ -136,7 +140,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         f = SampledFunction.from_csv(args.input)
     elif args.const is not None:
         template = _grid_template(args)
-        f = template.like(np.full(template.n, args.const))
+        f = template.like(np.full(template.n, _parse_number(args.const, "--const")))
     else:
         raise InputFormatError("hilbert needs --input PATH or --const C (with --grid)")
     hilbert_transform_sampled(f).to_csv(args.out or sys.stdout)
@@ -148,7 +152,7 @@ def cmd_bmo(args: argparse.Namespace) -> int:
         raise InputFormatError("bmo needs --input PATH")
     if not args.lengths:
         raise InputFormatError("bmo needs --lengths min:max")
-    lo, hi = _parse_pair(args.lengths)
+    lo, hi = _parse_floats(args.lengths, "--lengths needs finite min:max", ":", count=2)
     rep = bmo_estimate(SampledFunction.from_csv(args.input), lo, hi)
     text = "a,b,mean,oscillation\n" + (
         f"{rep.a!r},{rep.b!r},{rep.mean!r},{rep.oscillation!r}\n"
@@ -158,16 +162,19 @@ def cmd_bmo(args: argparse.Namespace) -> int:
 
 
 def _build_model(args: argparse.Namespace, k: int) -> zoo.ZooModel:
+    shift = _parse_number(args.shift, "--shift")
+    window = 500.0
+    if args.truncation is not None:
+        window = _parse_number(args.truncation, "--truncation")
     name = (args.model or "").lower()
     if name == "sine":
-        return zoo.sine_type_model(args.shift, truncation=k)
+        return zoo.sine_type_model(shift, truncation=k)
     if name == "example1":
-        window = 500.0 if args.truncation is None else args.truncation
-        return zoo.shift_to_strip(zoo.referee_example1(k, window), args.shift)
+        return zoo.shift_to_strip(zoo.referee_example1(k, window), shift)
     if name == "example2":
-        return zoo.shift_to_strip(zoo.referee_example2(k), args.shift)
+        return zoo.shift_to_strip(zoo.referee_example2(k), shift)
     if name == "cluster":
-        return zoo.cluster_model(k, height=args.shift)
+        return zoo.cluster_model(k, height=shift)
     raise InputFormatError(f"unknown model {args.model!r}")
 
 
@@ -185,13 +192,12 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    thresholds = _parse_floats(args.thresholds)
-    if not all(0 < t < math.inf for t in thresholds) or any(
+    what = "thresholds must be finite, positive and increasing"
+    thresholds = _parse_floats(args.thresholds, what)
+    if not all(t > 0 for t in thresholds) or any(
         b <= a for a, b in zip(thresholds, thresholds[1:])
     ):
-        raise InputFormatError(
-            f"thresholds must be finite, positive and increasing, got {thresholds}"
-        )
+        raise InputFormatError(f"{what}, got {args.thresholds!r}")
     if not args.model:
         raise InputFormatError("verify-theorem needs --model NAME")
     k_list = _parse_ks(args.K)
@@ -213,7 +219,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
 
     summary = [
-        f"model={args.model} shift={args.shift:g}",
+        f"model={args.model} shift={args.shift}",
         f"control sine-type bound: {control.bound:.4f}",
     ]
     for thr in thresholds:
@@ -241,14 +247,14 @@ FLAGS = {
     "--input": {},
     "--grid": {},
     "--radii": {},
-    "--truncation": {"type": float},
+    "--truncation": {},
     "--lengths": {},
     "--thresholds": {},
     "--model": {},
     "--K": {},
-    "--shift": {"type": float, "default": 1.0},
+    "--shift": {"default": "1"},
     "--zero": {},
-    "--const": {"type": float},
+    "--const": {},
 }
 
 # command -> (handler, its flags)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .argbranch import _branch_sum, default_truncation_radius, phi_sum
+from .argbranch import TAIL_CONSTANT, _branch_sum, default_truncation_radius
 from .errors import HelsonSzegoBoundError, PreconditionError, TruncationError
 from .hilbert import hilbert_transform_sampled
 from .oscillation import OscillationReport, bmo_estimate
@@ -27,8 +27,6 @@ from .zoo import ZooModel, hot_unit_window, relative_zero_set
 
 __all__ = [
     "HilbertLogModel",
-    "HlfValue",
-    "hlf_evaluate",
     "hlf_samples",
     "reconstruct_log_modulus",
     "HSWitness",
@@ -60,24 +58,6 @@ class HilbertLogModel:
             )
 
 
-@dataclass(frozen=True)
-class HlfValue:
-    value: float
-    tail_bound: float
-
-
-def hlf_evaluate(
-    model: HilbertLogModel, t: float, truncation_radius: float
-) -> HlfValue:
-    """``theta + (T/2) t`` minus the truncated branch sum, with its tail bound."""
-    if model.zeros is None:
-        return HlfValue(model.theta + 0.5 * model.indicator_width * t, 0.0)
-    s = phi_sum(model.zeros, t, truncation_radius)
-    return HlfValue(
-        model.theta + 0.5 * model.indicator_width * t - s.value, s.tail_bound
-    )
-
-
 def hlf_samples(
     model: HilbertLogModel,
     template: SampledFunction,
@@ -100,7 +80,7 @@ def hlf_samples(
         keep = np.hypot(zs.res, zs.ims) <= radius
         # negated weights subtract the branch sum block by block
         _branch_sum(acc, zs.res[keep], zs.ims[keep], -zs.mults[keep], ts)
-        tail = 2.0 * t_max * blaschke_tail(zs, radius)
+        tail = TAIL_CONSTANT * t_max * blaschke_tail(zs, radius)
     return template.like(acc), tail
 
 

@@ -49,10 +49,6 @@ class OscillationReport:
     mean: float
     oscillation: float
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Fast2Check:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ._numutil import evaluate_on_grid, read_text, trapezoid, write_text
 from .errors import InputFormatError, PreconditionError
 
 __all__ = [
-    "StripPoint",
     "ZeroSet",
     "ProfileEntry",
     "DensityProfile",
@@ -37,19 +36,6 @@ __all__ = [
     "blaschke_tail",
     "cartwright_integral_estimate",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class StripPoint:
-    """A zero ``re + i*im`` with a positive integer multiplicity (a ZeroSet row)."""
-
-    re: float
-    im: float
-    mult: int = 1
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
 
 
 class _BadZero(InputFormatError):
@@ -106,21 +92,8 @@ class ZeroSet:
         self.alpha = float(self._im.min())
         self.beta = float(self._im.max())
 
-    @classmethod
-    def from_points(cls, points: Iterable[StripPoint]) -> "ZeroSet":
-        """The zero set of ``StripPoint``s given in any order."""
-        pts = list(points)
-        return cls([p.re for p in pts], [p.im for p in pts], [p.mult for p in pts])
-
     def __len__(self) -> int:
         return len(self._re)
-
-    def __iter__(self):
-        return map(StripPoint, self._re.tolist(), self._im.tolist(), self._mult.tolist())
-
-    @property
-    def points(self) -> tuple[StripPoint, ...]:
-        return tuple(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -157,10 +130,6 @@ class ZeroSet:
         """The same multiset with every multiplicity written out as copies."""
         return ZeroSet(np.repeat(self._re, self._mult), np.repeat(self._im, self._mult))
 
-    def translated(self, dx: float) -> "ZeroSet":
-        """Horizontal translation by ``dx``."""
-        return ZeroSet(self._re + dx, self._im, self._mult)
-
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -175,9 +144,6 @@ class ProfileEntry:
 @dataclass(frozen=True)
 class DensityProfile:
     entries: tuple[ProfileEntry, ...]
-
-    def densities(self) -> list[float]:
-        return [e.density for e in self.entries]
 
 
 @dataclass(frozen=True)
@@ -285,8 +251,8 @@ def _validate_radii(radii: Sequence[float]) -> list[float]:
     radii = list(radii)
     if not radii:
         raise PreconditionError("radii must be nonempty")
-    if any(not r > 0 for r in radii):
-        raise PreconditionError("radii must be positive")
+    if any(not 0 < r < math.inf for r in radii):
+        raise PreconditionError("radii must be positive and finite")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly increasing")
     return radii

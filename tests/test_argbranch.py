@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from stripzeros import (
     PreconditionError,
-    StripPoint,
     TruncationError,
     VerificationError,
     ZeroSet,
@@ -17,35 +18,11 @@ from stripzeros import (
     phi,
     phi_derivative,
     phi_sum,
-    psi,
 )
 
 
 def branch_point(z):
     return (z.real**2 + z.imag**2) / z.real
-
-
-# ----------------------------------------------------------------------
-# psi
-
-
-def test_psi_at_zero():
-    assert psi(3 + 2j, 0.0) == 0.0
-
-
-def test_psi_direct_substitution():
-    # arctan(2*3 / (13 - 9))
-    assert psi(3 + 2j, 3.0) == pytest.approx(math.atan(1.5))
-    assert psi(3 + 2j, 3.0) == pytest.approx(0.98279, abs=1e-5)
-
-
-def test_psi_purely_imaginary_zero():
-    assert psi(1j, 1.0) == pytest.approx(math.pi / 4)
-
-
-def test_psi_rejects_lower_half_plane():
-    with pytest.raises(PreconditionError):
-        psi(1 - 1j, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +50,13 @@ def test_phi_below_branch():
     v = phi(3 + 2j, 0.0)
     assert v.value == 0.0
     assert v.region == "below"
+    # below the swap point 13/3 the branch is arctan(2*3 / (13 - 9))
+    w = phi(3 + 2j, 3.0)
+    assert w.value == pytest.approx(math.atan(1.5))
+    assert w.value == pytest.approx(0.98279, abs=1e-5)
+    assert w.region == "below"
+    with pytest.raises(PreconditionError):
+        phi(1 - 1j, 0.0)
 
 
 def test_phi_above_branch_frozen_value():
@@ -107,6 +91,64 @@ def test_phi_monotone_in_t():
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+# zeros with |x| from 0.01 up to 1e15 and y in [0.01, 30]
+_strip_x = st.floats(0.01, 1e15) | st.floats(-1e15, -0.01)
+_strip_y = st.floats(0.01, 30.0)
+
+
+@settings(deadline=None)
+@given(
+    x=_strip_x,
+    y=_strip_y,
+    offsets=st.lists(st.floats(-50.0, 50.0), max_size=20),
+    scales=st.lists(st.floats(-3.0, 3.0), max_size=10),
+)
+def test_phi_monotone_across_swap_point_property(x, y, offsets, scales):
+    t0 = (x * x + y * y) / x
+    ts = {t0, math.nextafter(t0, -math.inf), math.nextafter(t0, math.inf)}
+    ts |= {t0 + d for d in offsets} | {t0 * s for s in scales}
+    vals = [phi(complex(x, y), t).value for t in sorted(ts)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@settings(deadline=None)
+@given(x=_strip_x, y=_strip_y)
+def test_phi_lipschitz_at_swap_point_property(x, y):
+    # phi' <= 1/y everywhere, and phi = sign(x)*pi/2 at the exact swap point,
+    # which the float t0 misses by at most two ulps
+    t0 = (x * x + y * y) / x
+    target = math.copysign(math.pi / 2, x)
+    for t in (t0, math.nextafter(t0, -math.inf), math.nextafter(t0, math.inf)):
+        gap = abs(phi(complex(x, y), t).value - target)
+        assert gap <= (abs(t - t0) + 2 * math.ulp(t0)) / y
+
+
+@settings(deadline=None)
+@given(
+    zeros=st.lists(
+        st.tuples(st.floats(-1e4, 1e4), st.floats(0.01, 30.0), st.integers(1, 4)),
+        min_size=1,
+        max_size=30,
+    ),
+    t=st.floats(-100.0, 100.0),
+    widen=st.floats(1.001, 20.0),
+)
+def test_phi_sum_tail_bound_dominates_mpmath_tail_property(zeros, t, widen):
+    # an omitted zero has |z| > 2|t|, so |z|^2 - x*t > 0 and its branch is the
+    # plain arctan; summed at 50 digits, the omitted terms stay within the
+    # certified bound up to the rounding of the bound's own float sum
+    zs = ZeroSet(*(np.array(col) for col in zip(*zeros)))
+    radius = (2 * abs(t) + 0.01) * widen
+    bound = phi_sum(zs, t, radius).tail_bound
+    with mpmath.workdps(50):
+        omitted = mpmath.fsum(
+            m * mpmath.atan(y * t / (x * x + y * y - x * t))
+            for x, y, m in ((mpmath.mpf(x), mpmath.mpf(y), m) for x, y, m in zeros)
+            if math.hypot(x, y) > radius
+        )
+        assert abs(omitted) <= bound * (1 + 1e-12)
+
+
 def test_phi_total_increase_is_pi():
     for z in (3 + 2j, -4 + 0.5j, 0.2 + 3j, 1j):
         lo = phi(z, -1e8).value
@@ -115,6 +157,7 @@ def test_phi_total_increase_is_pi():
 
 
 def test_phi_x_zero_is_odd_arctan():
+    assert phi(1j, 1.0).value == pytest.approx(math.pi / 4)
     z = 2j
     for t in (-3.0, -1.0, 0.0, 1.0, 3.0):
         assert phi(z, t).value == pytest.approx(math.atan(t / 2.0), abs=1e-15)
@@ -204,20 +247,11 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi():
     # exact swap points (1+i at t=2, -1+i at t=-2), x = 0, |x| up to 1e15
     # on both sides of its swap point, and more zeros than one kernel block
     rng = np.random.default_rng(7)
-    pts = [
-        StripPoint(1.0, 1.0, 2),
-        StripPoint(-1.0, 1.0, 1),
-        StripPoint(0.0, 2.0, 3),
-        StripPoint(3.0, 2.0, 1),
-        StripPoint(1e15, 1.0, 1),
-        StripPoint(-1e15, 0.5, 2),
-    ] + [
-        StripPoint(float(x), float(y), int(m))
-        for x, y, m in zip(
-            rng.uniform(-30, 30, 400), rng.uniform(0.2, 3.0, 400), rng.integers(1, 4, 400)
-        )
-    ]
-    zs = ZeroSet.from_points(pts)
+    zs = ZeroSet(
+        np.concatenate(([1.0, -1.0, 0.0, 3.0, 1e15, -1e15], rng.uniform(-30, 30, 400))),
+        np.concatenate(([1.0, 1.0, 2.0, 2.0, 1.0, 0.5], rng.uniform(0.2, 3.0, 400))),
+        np.concatenate(([2, 1, 3, 1, 1, 2], rng.integers(1, 4, 400))),
+    )
     ts = np.concatenate((
         np.linspace(-20.0, 20.0, 81),
         [2.0, -2.0, 13.0 / 3.0, 0.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
@@ -228,7 +262,10 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi():
     assert (got.tail_bound == 0.0).all()  # every zero is inside the radius
     eps = np.finfo(float).eps
     for t, v in zip(ts, got.value):
-        terms = [p.mult * phi(p.z, float(t)).value for p in zs]
+        terms = [
+            m * phi(complex(x, y), float(t)).value
+            for x, y, m in zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
+        ]
         ref = math.fsum(terms)
         # one rounding per term and per addition
         tol = (len(terms) + 1) * eps * math.fsum(abs(x) for x in terms)

@@ -204,7 +204,8 @@ def test_zoo_cluster_honours_shift(tmp_path, capsys):
         capsys, "zoo", "--model", "cluster", "--K", "3", "--shift", "2", "--out", str(out_path)
     )
     assert code == 0
-    assert [(p.im, p.mult) for p in load_zero_set(str(out_path))] == [(2.0, 3)]
+    zs = load_zero_set(str(out_path))
+    assert (zs.ims.tolist(), zs.mults.tolist()) == ([2.0], [3])
 
 
 @pytest.mark.parametrize(
@@ -269,9 +270,30 @@ def test_verify_theorem_unknown_model(capsys):
             ["verify-theorem", "--model", "cluster", "--K", "12", "--thresholds", "nan"],
             "thresholds must be finite",
         ),
+        # number flags are parsed before any file is read, so z.csv and
+        # s.csv need not exist
+        (["zoo", "--model", "sine", "--K", "3", "--shift", "nan"], "--shift needs a finite"),
+        (
+            ["phi", "--zeros", "z.csv", "--grid", "0:1:3", "--truncation", "nan"],
+            "--truncation needs a finite",
+        ),
+        (["bmo", "--input", "s.csv", "--lengths", "nan:5"], "--lengths needs finite"),
+        (["bmo", "--input", "s.csv", "--lengths", "1:inf"], "--lengths needs finite"),
+        (["density", "--zeros", "z.csv", "--radii", "inf"], "--radii needs finite"),
+        (["hilbert", "--const", "nan", "--grid", "0:1:3"], "--const needs a finite"),
+        (
+            ["phi", "--zero", "1,1", "--grid", "0:1:3", "--truncation", "0.1"],
+            "--zero conflicts with --truncation",
+        ),
+        (
+            ["phi", "--zero", "1,1", "--zeros", "z.csv", "--grid", "0:1:3"],
+            "--zero conflicts with --zeros",
+        ),
     ],
     ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
-         "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan"],
+         "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
+         "shift-nan", "truncation-nan", "lengths-nan", "lengths-inf", "radii-inf",
+         "const-nan", "zero-with-truncation", "zero-with-zeros"],
 )
 def test_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

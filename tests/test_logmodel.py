@@ -13,8 +13,8 @@ from stripzeros import (
     ZeroSet,
     cluster_model,
     compose_helson_szego,
-    hlf_evaluate,
     hlf_samples,
+    phi,
     phi_sum,
     reconstruct_log_modulus,
     referee_example2,
@@ -36,15 +36,18 @@ def template(t0, h, n):
 
 def test_hlf_empty_zero_set_is_linear():
     model = HilbertLogModel(2.0, 0.0, None)
-    for t in (-3.0, 0.0, 1.7):
-        assert hlf_evaluate(model, t, 100.0).value == pytest.approx(t)
+    grid = template(-3.0, 0.1, 48)
+    sampled, tail = hlf_samples(model, grid, 100.0)
+    assert sampled.values == pytest.approx(grid.grid)
+    assert tail == 0.0
 
 
 def test_hlf_single_imaginary_zero():
     model = HilbertLogModel(0.0, 0.0, ZeroSet([0.0], [1.0]))
-    for t in (-2.0, 0.5, 9.0):
-        out = hlf_evaluate(model, t, 1000.0)
-        assert out.value == pytest.approx(-math.atan(t), abs=1e-14)
+    grid = template(-2.0, 0.5, 23)
+    sampled, tail = hlf_samples(model, grid, 1000.0)
+    assert sampled.values == pytest.approx(-np.arctan(grid.grid), abs=1e-14)
+    assert tail == 0.0
 
 
 def test_hlf_truncation_convergence():
@@ -64,9 +67,13 @@ def test_hlf_samples_match_pointwise_evaluation():
     model = HilbertLogModel(1.0, 0.3, zs)
     grid = template(-5.0, 0.5, 21)
     sampled, _ = hlf_samples(model, grid)
-    for i, t in enumerate(grid.grid):
-        single = hlf_evaluate(model, float(t), 100.0)
-        assert sampled.values[i] == pytest.approx(single.value, abs=1e-12)
+    for i, t in enumerate(grid.grid.tolist()):
+        branches = [
+            m * phi(complex(x, y), t).value
+            for x, y, m in zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
+        ]
+        expected = 0.3 + 0.5 * t - math.fsum(branches)
+        assert sampled.values[i] == pytest.approx(expected, abs=1e-12)
     # more zeros and nodes than one kernel block: samples equal the linear
     # term minus the array branch sum up to the order of subtraction
     rng = np.random.default_rng(8)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from stripzeros import (
     InputFormatError,
     PreconditionError,
-    StripPoint,
     ZeroSet,
     blaschke_sum,
     blaschke_tail,
@@ -46,8 +45,8 @@ def test_load_rejects_nonpositive_im():
 
 def test_load_sorts_by_re():
     zs = load_zero_set(io.StringIO("3.0,2.0,1\n1.0,1.0,2"))
-    assert [p.re for p in zs.points] == [1.0, 3.0]
-    assert zs.points[0].mult == 2
+    assert zs.res.tolist() == [1.0, 3.0]
+    assert zs.mults.tolist() == [2, 1]
 
 
 def test_load_reports_line_numbers():
@@ -70,19 +69,19 @@ def test_load_missing_path(tmp_path):
 
 def test_load_json():
     zs = load_zero_set(io.StringIO('[{"re": 2.0, "im": 0.5}, {"re": -1, "im": 1, "mult": 3}]'))
-    assert [p.re for p in zs.points] == [-1.0, 2.0]
-    assert zs.points[0].mult == 3
+    assert zs.res.tolist() == [-1.0, 2.0]
+    assert zs.mults.tolist() == [3, 1]
     assert zs.alpha == 0.5
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_round_trip_bit_exact(fmt):
     rng = np.random.default_rng(3)
-    pts = [
-        StripPoint(float(rng.standard_normal() * 1e3), float(rng.uniform(0.1, 7)), int(m))
+    rows = [
+        (float(rng.standard_normal() * 1e3), float(rng.uniform(0.1, 7)), int(m))
         for m in rng.integers(1, 5, size=40)
     ]
-    zs = ZeroSet.from_points(pts)
+    zs = ZeroSet(*zip(*rows))
     buf = io.StringIO()
     save_zero_set(zs, buf, fmt=fmt)
     back = load_zero_set(io.StringIO(buf.getvalue()))
@@ -140,10 +139,8 @@ def test_arrays_are_the_only_state():
     with pytest.raises(ValueError):
         zs.res[0] = 0.0
     assert not hasattr(zs, "__dict__")
-    assert zs.points == (StripPoint(1.0, 1.0, 1), StripPoint(3.0, 1.0, 2))
-    assert list(zs) == list(zs.points)
+    assert zs.mults.tolist() == [1, 2]
     assert zs.expanded() == ZeroSet([1.0, 3.0, 3.0], [1.0, 1.0, 1.0])
-    assert zs.translated(-1.0) == ZeroSet([0.0, 2.0], [1.0, 1.0], [1, 2])
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +163,17 @@ def _columns(rows):
     return [np.array(col) for col in zip(*rows)]
 
 
+def _triples(zs):
+    return list(zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist()))
+
+
 @settings(deadline=None)
 @given(rows=_rows, data=st.data())
 def test_shuffled_arrays_equal_sorted_points(rows, data):
     shuffled = data.draw(st.permutations(rows))
     zs = ZeroSet(*_columns(shuffled))
-    pts = sorted(StripPoint(*row) for row in rows)
-    assert zs == ZeroSet.from_points(pts)
-    assert zs.points == tuple(pts)
+    assert zs == ZeroSet(*_columns(rows))
+    assert _triples(zs) == sorted(rows)
 
 
 @settings(deadline=None)
@@ -253,7 +253,7 @@ def test_window_count_additive_over_adjacent_windows():
 def test_density_unit_spacing():
     zs = progression(1.0, 1000)
     prof = upper_density_profile(zs, [10.0, 100.0])
-    assert prof.densities() == [1.0, 1.0]
+    assert [e.density for e in prof.entries] == [1.0, 1.0]
 
 
 def test_density_even_spacing():
@@ -292,9 +292,9 @@ def test_density_monotone_under_inclusion():
     part = ZeroSet(xs[:40], np.ones(40))
     full = ZeroSet(xs, np.ones(80))
     radii = [0.5, 2.0, 10.0]
-    small = upper_density_profile(part, radii).densities()
-    big = upper_density_profile(full, radii).densities()
-    assert all(b >= s for s, b in zip(small, big))
+    small = upper_density_profile(part, radii).entries
+    big = upper_density_profile(full, radii).entries
+    assert all(b.density >= s.density for s, b in zip(small, big))
 
 
 def test_density_validates_radii():
@@ -305,6 +305,8 @@ def test_density_validates_radii():
         upper_density_profile(zs, [2.0, 1.0])
     with pytest.raises(PreconditionError):
         upper_density_profile(zs, [-1.0])
+    with pytest.raises(PreconditionError, match="finite"):
+        upper_density_profile(zs, [math.inf])
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +331,16 @@ def test_separation_needs_two_points():
         separation_constant(ZeroSet([0.0], [1.0]))
 
 
-def _min_colors(points, delta):
+def _min_colors(zs, delta):
     """Smallest number of classes with pairwise distances >= delta.
 
-    Exhaustive backtracking on the conflict graph; exponential, fine for
-    the handful of points used here.
+    Exhaustive backtracking on the conflict graph of the expanded points;
+    exponential, fine for the handful of points used here.
     """
+    points = _triples(zs.expanded())
     n = len(points)
     conflict = [
-        [math.hypot(p.re - q.re, p.im - q.im) < delta for q in points] for p in points
+        [math.hypot(p[0] - q[0], p[1] - q[1]) < delta for q in points] for p in points
     ]
 
     def feasible(k):
@@ -372,9 +375,8 @@ def test_decompose_halves_against_brute_force():
     zs = ZeroSet(np.arange(10) / 2.0, np.ones(10))
     classes, bound = decompose_uniformly_discrete(zs, 0.8)
     assert len(classes) == 2
-    assert _min_colors(zs.expanded().points, 0.8) == 2
-    evens = sorted(p.re for p in classes[0].points)
-    assert evens == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert _min_colors(zs, 0.8) == 2
+    assert classes[0].res.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_decompose_coincident_points_split():
@@ -392,8 +394,8 @@ def test_decompose_classes_are_separated_and_partition():
     for cl in classes:
         if cl.weight >= 2:
             assert separation_constant(cl) >= delta
-        merged.extend(cl.points)
-    assert sorted(merged) == list(zs.expanded().points)
+        merged.extend(_triples(cl))
+    assert sorted(merged) == _triples(zs.expanded())
 
 
 def test_decompose_window_bound_heuristic():

@@ -235,8 +235,8 @@ def test_unshifted_offset_model_has_no_strip_zeros():
 def test_cluster_model_shape():
     model = cluster_model(12)
     assert model.zeros.weight == 12
-    (pt,) = model.zeros.points
-    assert (pt.re, pt.im, pt.mult) == (0.5, 1.0, 12)
+    zs = model.zeros
+    assert (zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist()) == ([0.5], [1.0], [12])
     assert model.log_modulus(0.5) == pytest.approx(0.0)  # 12*log(1)/... log(h)=0
 
 
