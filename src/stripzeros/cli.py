@@ -163,10 +163,15 @@ def cmd_bmo(args: argparse.Namespace) -> int:
 
 def _build_model(args: argparse.Namespace, k: int) -> zoo.ZooModel:
     shift = _parse_number(args.shift, "--shift")
+    name = (args.model or "").lower()
     window = 500.0
     if args.truncation is not None:
+        if name != "example1":
+            raise InputFormatError(
+                "--truncation is the example1 window only; "
+                f"model {args.model!r} takes none"
+            )
         window = _parse_number(args.truncation, "--truncation")
-    name = (args.model or "").lower()
     if name == "sine":
         return zoo.sine_type_model(shift, truncation=k)
     if name == "example1":
@@ -180,8 +185,8 @@ def _build_model(args: argparse.Namespace, k: int) -> zoo.ZooModel:
 
 def cmd_zoo(args: argparse.Namespace) -> int:
     k_list = _parse_ks(args.K)
-    if not k_list:
-        raise InputFormatError("zoo needs --K N")
+    if len(k_list) != 1:
+        raise InputFormatError(f"zoo takes one K (--K N), got {args.K!r}")
     model = _build_model(args, k_list[0])
     out = args.out or sys.stdout
     if model.k is not None:

@@ -25,9 +25,11 @@ of that model exactly: the singular part of the transform of a unit hat at
 integer node offset ``m`` is the second difference ``(m+1)log|m+1| +
 (m-1)log|m-1| - 2m log|m|``, so the grid part is one discrete convolution;
 the regularization term is x-independent and integrates in closed form per
-cell, and the constant tails again have closed forms.  This agrees with
-applying the evaluator version at every node but is exact for the model
-and costs O(n log n) for the whole grid.
+cell, and the constant tails again have closed forms.  The convolution is
+one cyclic real-FFT product of 5-smooth length m >= 2n-1, which cannot
+alias into the n outputs kept.  This agrees with applying the evaluator
+version at every node but is exact for the model and costs O(n log n) for
+the whole grid.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ._numutil import evaluate_on_grid, trapezoid
 from .errors import PreconditionError
@@ -227,6 +228,20 @@ def _hat_kernel(n: int) -> np.ndarray:
     return np.concatenate((-pos[::-1], (0.0,), pos))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n >= 1``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def hilbert_transform_sampled(f: SampledFunction) -> SampledFunction:
     """Exact transform of the interpolant-plus-constant-tails model of ``f``.
 
@@ -244,7 +259,9 @@ def hilbert_transform_sampled(f: SampledFunction) -> SampledFunction:
     ts = f.grid
     a, b = f.t0, f.t_end
 
-    singular = fftconvolve(v, _hat_kernel(n), mode="full")[n - 1 : 2 * n - 1]
+    m = _fast_len(2 * n - 1)
+    spectrum = np.fft.rfft(v, m) * np.fft.rfft(_hat_kernel(n), m)
+    singular = np.fft.irfft(spectrum, m)[n - 1 : 2 * n - 1]
 
     # regularization term: x-independent, exact per linear cell with
     # antiderivatives (1/2)log(1+t^2) and t - arctan t

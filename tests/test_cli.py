@@ -1,10 +1,15 @@
 """End-to-end command-line runs and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stripzeros
 from stripzeros import SampledFunction, load_zero_set
 from stripzeros.cli import main
 
@@ -289,11 +294,25 @@ def test_verify_theorem_unknown_model(capsys):
             ["phi", "--zero", "1,1", "--zeros", "z.csv", "--grid", "0:1:3"],
             "--zero conflicts with --zeros",
         ),
+        (["zoo", "--model", "cluster", "--K", "3,100"], "zoo takes one K"),
+        (
+            ["zoo", "--model", "sine", "--K", "3", "--truncation", "5"],
+            "--truncation is the example1 window only",
+        ),
+        (
+            ["zoo", "--model", "example2", "--K", "8", "--truncation", "5"],
+            "--truncation is the example1 window only",
+        ),
+        (
+            ["verify-theorem", "--model", "cluster", "--K", "12", "--truncation", "5"],
+            "--truncation is the example1 window only",
+        ),
     ],
     ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
          "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
          "shift-nan", "truncation-nan", "lengths-nan", "lengths-inf", "radii-inf",
-         "const-nan", "zero-with-truncation", "zero-with-zeros"],
+         "const-nan", "zero-with-truncation", "zero-with-zeros", "zoo-K-list",
+         "truncation-sine", "truncation-example2", "truncation-verify-cluster"],
 )
 def test_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -309,3 +328,29 @@ def test_hilbert_input_late_header_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "input error: line 4: grid header after the first data row" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it cost every CLI run ~1.5 s
+    src = str(Path(stripzeros.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, stripzeros.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_zoo_example1_takes_truncation(tmp_path, capsys):
+    narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
+    for path, window in ((narrow, "100"), (wide, "300")):
+        code, _, _ = run(
+            capsys, "zoo", "--model", "example1", "--K", "3",
+            "--truncation", window, "--out", str(path),
+        )
+        assert code == 0
+    assert load_zero_set(str(narrow)).weight < load_zero_set(str(wide)).weight

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from stripzeros import (
@@ -13,6 +14,7 @@ from stripzeros import (
     hilbert_transform,
     hilbert_transform_sampled,
 )
+from stripzeros.hilbert import _fast_len, _hat_kernel
 
 LN2_OVER_PI = math.log(2.0) / math.pi
 
@@ -205,3 +207,73 @@ def test_involution_on_smooth_bumps():
         mid = np.abs(f.grid) <= 500.0
         dev = resid[mid]
         assert (dev.max() - dev.min()) / 2.0 <= 1e-3
+
+
+# ----------------------------------------------------------------------
+# the cyclic real-FFT convolution
+
+
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fast_len_is_smallest_5_smooth_length():
+    smooth = [k for k in range(1, 2100) if _is_5_smooth(k)]
+    for n in range(1, 2001):
+        assert _fast_len(n) == next(k for k in smooth if k >= n)
+
+
+# 2n-1 prime (7, 10, 12, 16, 1000, 19006) or itself 5-smooth, so the cyclic
+# length is exactly 2n-1 (1094, 1563, 9842): the cases closest to aliasing
+@pytest.mark.parametrize("n", [7, 10, 12, 16, 1000, 1094, 1563, 9842, 19006])
+def test_sampled_singular_part_matches_direct_convolution(n):
+    # with zero end values only the x-independent regularization term is
+    # added to the singular part, so pi*H(f) minus the direct convolution
+    # must be one constant
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    v[0] = v[-1] = 0.0
+    out = hilbert_transform_sampled(SampledFunction(-100.0, 200.0 / (n - 1), v))
+    direct = np.convolve(v, _hat_kernel(n))[n - 1 : 2 * n - 1]
+    rest = math.pi * out.values - direct
+    assert np.ptp(rest) <= 1e-12 * np.abs(direct).max()
+
+
+@st.composite
+def _wide_grids(draw):
+    """Random grids covering [-100, 100], as (t0, h, n)."""
+    t0 = draw(st.floats(-300.0, -100.0))
+    end = draw(st.floats(100.5, 300.0))
+    n = draw(st.integers(2, 4000))
+    return t0, (end - t0) / (n - 1), n
+
+
+@settings(deadline=None)
+@given(grid=_wide_grids(), c=st.floats(-1e3, 1e3))
+def test_sampled_constant_is_zero_property(grid, c):
+    t0, h, n = grid
+    out = hilbert_transform_sampled(SampledFunction(t0, h, np.full(n, c)))
+    assert np.abs(out.values).max() <= 1e-12 * max(abs(c), 1.0)
+
+
+@settings(deadline=None)
+@given(
+    grid=_wide_grids(),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+)
+def test_sampled_linearity_property(grid, seed, a, b):
+    t0, h, n = grid
+    rng = np.random.default_rng(seed)
+    u, w = rng.standard_normal((2, n))
+
+    def transform(values):
+        return hilbert_transform_sampled(SampledFunction(t0, h, values)).values
+
+    hu, hw = transform(u), transform(w)
+    scale = abs(a) * np.abs(hu).max() + abs(b) * np.abs(hw).max()
+    assert np.abs(transform(a * u + b * w) - (a * hu + b * hw)).max() <= 1e-12 * scale
