@@ -183,9 +183,7 @@ def default_truncation_radius(zs: ZeroSet, t_max: float) -> float:
     return max(2.0 * t_max + 1.0, far + 1.0)
 
 
-def find_growth_window(
-    zs: ZeroSet, target: float, *, truncation_radius: float | None = None
-) -> float | None:
+def find_growth_window(zs: ZeroSet, target: float) -> float | None:
     """First unit window whose zero count certifies a branch-sum jump.
 
     Scans anchors ``{re - 1, re - 1/2, re}`` in increasing order and returns
@@ -205,9 +203,7 @@ def find_growth_window(
     if ok.size == 0:
         return None
     a = float(anchors[ok[0]])
-    radius = truncation_radius
-    if radius is None:
-        radius = default_truncation_radius(zs, abs(a) + 1.0)
+    radius = default_truncation_radius(zs, abs(a) + 1.0)
     increment = phi_sum(zs, a + 1.0, radius).value - phi_sum(zs, a, radius).value
     if increment < target - 1e-9:
         raise VerificationError(

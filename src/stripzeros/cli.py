@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
-from ._numutil import write_text
+from ._numutil import write_csv
 from .argbranch import _branch_sum, default_truncation_radius, phi_sum
 from .errors import InputFormatError, PreconditionError
 from .logmodel import theorem_divergence_scan
@@ -90,11 +91,11 @@ def cmd_density(args: argparse.Namespace) -> int:
     if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
     profile = upper_density_profile(_load_zeros(args.zeros), radii)
-    lines = ["r,sup_count,density,witness_x"]
-    lines += [
-        f"{e.r!r},{e.sup_count},{e.density!r},{e.witness!r}" for e in profile.entries
-    ]
-    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
+    write_csv(
+        args.out or sys.stdout,
+        "r,sup_count,density,witness_x\n",
+        *zip(*map(astuple, profile.entries)),
+    )
     return EXIT_OK
 
 
@@ -117,21 +118,16 @@ def cmd_phi(args: argparse.Namespace) -> int:
         values = _branch_sum(
             np.zeros(ts.size), np.array([x]), np.array([y]), np.ones(1), ts
         )
-        lines = ["t,phi"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
+        header, columns = "t,phi\n", (ts, values)
     elif args.zeros:
         zs = _load_zeros(args.zeros)
         if radius is None:
             radius = default_truncation_radius(zs, float(np.abs(ts).max()))
         r = phi_sum(zs, ts, radius)
-        lines = ["t,phi_sum,tail_bound"]
-        lines += [
-            f"{t!r},{v!r},{b!r}"
-            for t, v, b in zip(ts.tolist(), r.value.tolist(), r.tail_bound.tolist())
-        ]
+        header, columns = "t,phi_sum,tail_bound\n", (ts, r.value, r.tail_bound)
     else:
         raise InputFormatError("phi needs --zero X,Y or --zeros PATH")
-    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
+    write_csv(args.out or sys.stdout, header, *columns)
     return EXIT_OK
 
 
@@ -154,10 +150,11 @@ def cmd_bmo(args: argparse.Namespace) -> int:
         raise InputFormatError("bmo needs --lengths min:max")
     lo, hi = _parse_floats(args.lengths, "--lengths needs finite min:max", ":", count=2)
     rep = bmo_estimate(SampledFunction.from_csv(args.input), lo, hi)
-    text = "a,b,mean,oscillation\n" + (
-        f"{rep.a!r},{rep.b!r},{rep.mean!r},{rep.oscillation!r}\n"
+    write_csv(
+        args.out or sys.stdout,
+        "a,b,mean,oscillation\n",
+        [rep.a], [rep.b], [rep.mean], [rep.oscillation],
     )
-    write_text(args.out or sys.stdout, text)
     return EXIT_OK
 
 
@@ -214,14 +211,13 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         [(200.0, zoo.sine_type_model(1.0, truncation=200))]
     )[0]
 
-    lines = ["K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound"]
-    lines += [
-        f"{r.label!r},{r.bound!r},{r.witness[0]!r},{r.witness[1]!r},"
-        f"{r.window_count},{r.tail_bound!r}"
-        for r in rows
-    ]
-    lines.append(f"# control sine-type (N=200) bound: {control.bound!r}")
-    write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
+    table = [(r.label, r.bound, *r.witness, r.window_count, r.tail_bound) for r in rows]
+    write_csv(
+        args.out or sys.stdout,
+        "K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound\n",
+        *zip(*table),
+        footer=f"# control sine-type (N=200) bound: {control.bound!r}\n",
+    )
 
     summary = [
         f"model={args.model} shift={args.shift}",

@@ -40,16 +40,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, trapezoid
+from ._numutil import evaluate_on_grid
 from .errors import PreconditionError
 from .sampled import SampledFunction
 
 __all__ = ["hilbert_transform", "hilbert_transform_sampled"]
 
 DEFAULT_WINDOW = 1e4
-DEFAULT_EXCISION = 1e-4
-DEFAULT_LOCAL_RADIUS = 1.0
-DEFAULT_NODES_PER_DECADE = 4096
+# quadrature geometry of hilbert_transform: EXCISION < LOCAL_RADIUS < 100,
+# the narrowest window it accepts
+EXCISION = 1e-4
+LOCAL_RADIUS = 1.0
+NODES_PER_DECADE = 4096
 
 
 def _checked_eval(f: Callable, xs: np.ndarray) -> np.ndarray:
@@ -84,7 +86,7 @@ def _panel_integral(
             xs[0] = p + nudge
         if q in cuts:
             xs[-1] = q - nudge
-        total += float(trapezoid(g(xs), xs))
+        total += float(np.trapezoid(g(xs), xs))
     return total
 
 
@@ -110,9 +112,6 @@ def hilbert_transform(
     x: float,
     *,
     window: float = DEFAULT_WINDOW,
-    excision: float = DEFAULT_EXCISION,
-    local_radius: float = DEFAULT_LOCAL_RADIUS,
-    nodes_per_decade: int = DEFAULT_NODES_PER_DECADE,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Transform of a bounded evaluator at one point.
@@ -128,11 +127,6 @@ def hilbert_transform(
         raise PreconditionError(
             f"window {window} too small at x={x}: needs >= {max(10.0 * abs(x), 100.0)}"
         )
-    if not 0.0 < excision < local_radius < window:
-        raise PreconditionError(
-            f"need 0 < excision < local_radius < window, got "
-            f"{excision}, {local_radius}, {window}"
-        )
 
     # H(f) = H(f - f(x)): constants transform to zero exactly, so work with
     # the shifted samples and the identity costs nothing but removes the
@@ -144,21 +138,21 @@ def hilbert_transform(
 
     total = 0.0
 
-    # principal value near x: odd part over (excision, local_radius]
+    # principal value near x: odd part over (EXCISION, LOCAL_RADIUS]
     s_splits = sorted(
-        {abs(b - x) for b in breakpoints if excision < abs(b - x) < local_radius}
+        {abs(b - x) for b in breakpoints if EXCISION < abs(b - x) < LOCAL_RADIUS}
     )
-    total += _decade_integral(g_odd, excision, local_radius, nodes_per_decade, s_splits)
+    total += _decade_integral(g_odd, EXCISION, LOCAL_RADIUS, NODES_PER_DECADE, s_splits)
 
-    # excised strip [0, excision]: midpoint rule, plus a refinement check
-    strip = excision * float(g_odd(np.array([excision / 2.0]))[0])
-    refined = (excision / 2.0) * float(g_odd(np.array([excision / 4.0]))[0])
+    # excised strip [0, EXCISION]: midpoint rule, plus a refinement check
+    strip = EXCISION * float(g_odd(np.array([EXCISION / 2.0]))[0])
+    refined = (EXCISION / 2.0) * float(g_odd(np.array([EXCISION / 4.0]))[0])
     refined += _panel_integral(
-        g_odd, excision / 2.0, excision, max(nodes_per_decade // 16, 64), []
+        g_odd, EXCISION / 2.0, EXCISION, max(NODES_PER_DECADE // 16, 64), []
     )
     if abs(refined - strip) > 1e-6 * math.pi:
         warnings.warn(
-            f"excision radius {excision:g} not converged at x={x:g}: halving it "
+            f"excision radius {EXCISION:g} not converged at x={x:g}: halving it "
             f"moves the transform by {abs(refined - strip) / math.pi:.2e}",
             stacklevel=2,
         )
@@ -168,9 +162,9 @@ def hilbert_transform(
     def g_reg(ts: np.ndarray) -> np.ndarray:
         return (_checked_eval(f, ts) - center) * ts / (1.0 + ts * ts)
 
-    reg_splits = [b for b in breakpoints if abs(b - x) < local_radius]
+    reg_splits = [b for b in breakpoints if abs(b - x) < LOCAL_RADIUS]
     total += _panel_integral(
-        g_reg, x - local_radius, x + local_radius, 2 * nodes_per_decade, reg_splits
+        g_reg, x - LOCAL_RADIUS, x + LOCAL_RADIUS, 2 * NODES_PER_DECADE, reg_splits
     )
 
     # far field, combined kernel, per side
@@ -190,11 +184,11 @@ def hilbert_transform(
             {
                 side * (b - x)
                 for b in breakpoints
-                if local_radius < side * (b - x) < dist
+                if LOCAL_RADIUS < side * (b - x) < dist
             }
         )
         total += _decade_integral(
-            g_side, local_radius, dist, nodes_per_decade, side_splits
+            g_side, LOCAL_RADIUS, dist, NODES_PER_DECADE, side_splits
         )
 
     # constant-extension tails beyond [-window, window]

@@ -38,6 +38,12 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 
+# divergence-scan geometry, fixed across a family: intervals of one length
+# on a grid of this step spanning this far either side of the hot window
+SCAN_INTERVAL = 3.0
+SCAN_HALFSPAN = 6.5
+SCAN_STEP = 0.005
+
 
 @dataclass(frozen=True)
 class HilbertLogModel:
@@ -85,9 +91,7 @@ def hlf_samples(
 
 
 def reconstruct_log_modulus(
-    model: HilbertLogModel,
-    template: SampledFunction,
-    truncation_radius: float | None = None,
+    model: HilbertLogModel, template: SampledFunction
 ) -> SampledFunction:
     """Minus the transform of the model samples: the log-modulus up to a constant.
 
@@ -95,7 +99,7 @@ def reconstruct_log_modulus(
     output tracks the log-modulus only modulo a vertical offset; compare
     after subtracting means.
     """
-    samples, _ = hlf_samples(model, template, truncation_radius)
+    samples, _ = hlf_samples(model, template)
     out = hilbert_transform_sampled(samples)
     return out.like(-out.values)
 
@@ -122,20 +126,15 @@ class ComposedWeight:
     log_weight: SampledFunction
 
 
-def compose_helson_szego(
-    witness: HSWitness, template: SampledFunction | None = None
-) -> ComposedWeight:
-    """Samples of ``exp(u + Hv)`` with the hard gate ``max|v| < pi/2``."""
+def compose_helson_szego(witness: HSWitness) -> ComposedWeight:
+    """Samples of ``exp(u + Hv)`` on the grid of ``v``, gated by ``max|v| < pi/2``."""
     if witness.v_sup >= HALF_PI:
         raise HelsonSzegoBoundError(
             f"Helson-Szego bound violated: max|v| = {witness.v_sup!r} >= pi/2"
         )
-    grid = template if template is not None else witness.v
-    v = grid.like(np.asarray(witness.v.value_at(grid.grid)))
-    u_vals = np.asarray(witness.u.value_at(grid.grid))
-    hv = hilbert_transform_sampled(v)
-    log_weight = grid.like(u_vals + hv.values)
-    return ComposedWeight(grid.like(np.exp(log_weight.values)), log_weight)
+    v = witness.v
+    log_weight = v.like(witness.u.value_at(v.grid) + hilbert_transform_sampled(v).values)
+    return ComposedWeight(v.like(np.exp(log_weight.values)), log_weight)
 
 
 # ----------------------------------------------------------------------
@@ -154,41 +153,29 @@ class DivergenceRow:
 
 
 def theorem_divergence_scan(
-    family: Sequence[tuple[float, ZooModel]],
-    *,
-    interval_length: float = 3.0,
-    halfspan: float = 6.5,
-    step: float = 0.005,
-    theta: float = 0.0,
-    indicator_width: float | None = None,
+    family: Sequence[tuple[float, ZooModel]]
 ) -> list[DivergenceRow]:
     """BMO lower bounds of the transform model near each member's hot window.
 
-    The grid geometry (step, halfspan, interval length) is fixed across the
-    family; the grid is anchored at each member's densest unit window and
-    the zeros enter as offsets from that anchor, since oscillation over an
-    interval is unchanged by translating zeros and grid together and the
+    The grid geometry (``SCAN_*``) is fixed across the family, and each
+    member uses its own indicator width with ``theta = 0``.  The grid is
+    anchored at each member's densest unit window and the zeros enter as
+    offsets from that anchor, since oscillation over an interval is
+    unchanged by translating zeros and grid together and the
     anchor-dependent constants drop out.  Every zero is kept, so the tail
     bound is zero unless a truncation is forced by the data.
     """
-    if not interval_length <= 2 * halfspan:
-        raise PreconditionError(
-            f"interval length {interval_length} exceeds the grid span {2 * halfspan}"
-        )
     rows = []
-    n = int(round(2.0 * halfspan / step)) + 1
+    n = int(round(2.0 * SCAN_HALFSPAN / SCAN_STEP)) + 1
     for label, model in family:
         base, rel_anchor, count = hot_unit_window(model)
         zs_rel = relative_zero_set(model, base)
-        width = (
-            indicator_width if indicator_width is not None else model.indicator_width
-        )
-        t0 = rel_anchor + 0.5 - halfspan
-        template = SampledFunction(t0, step, np.zeros(n))
+        t0 = rel_anchor + 0.5 - SCAN_HALFSPAN
+        template = SampledFunction(t0, SCAN_STEP, np.zeros(n))
         # theta + (T/2)*base is constant over the window and is dropped
-        hlf_model = HilbertLogModel(width, theta, zs_rel)
+        hlf_model = HilbertLogModel(model.indicator_width, 0.0, zs_rel)
         g, tail = hlf_samples(hlf_model, template)
-        rep: OscillationReport = bmo_estimate(g, interval_length, interval_length)
+        rep: OscillationReport = bmo_estimate(g, SCAN_INTERVAL, SCAN_INTERVAL)
         rows.append(
             DivergenceRow(
                 float(label),

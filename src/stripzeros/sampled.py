@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, read_text, write_text
+from ._numutil import evaluate_on_grid, read_text, write_csv
 from .errors import InputFormatError
 
 __all__ = ["SampledFunction"]
@@ -84,10 +84,8 @@ class SampledFunction:
     # round-trip decimals, so reload is bit-exact.
 
     def to_csv(self, target) -> None:
-        lines = [f"# t0={self.t0!r} h={self.h!r} n={self.n}", "t,value"]
-        ts = self.grid
-        lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, self.values))
-        write_text(target, "\n".join(lines) + "\n")
+        header = f"# t0={float(self.t0)!r} h={float(self.h)!r} n={self.n}\nt,value\n"
+        write_csv(target, header, self.grid, self.values)
 
     @classmethod
     def from_csv(cls, source) -> "SampledFunction":

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, read_text, trapezoid, write_text
+from ._numutil import evaluate_on_grid, read_text, write_csv
 from .errors import InputFormatError, PreconditionError
 
 __all__ = [
@@ -217,16 +217,9 @@ def load_zero_set(source) -> ZeroSet:
         raise InputFormatError(f"{unit} {rows[exc.row]}: {exc.reason}") from None
 
 
-def save_zero_set(zs: ZeroSet, target, fmt: str = "csv") -> None:
-    """Write a zero set as CSV or JSON; floats round-trip bit-exactly."""
-    cols = zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
-    if fmt == "csv":
-        text = "".join(f"{re!r},{im!r},{mult}\n" for re, im, mult in cols)
-    elif fmt == "json":
-        text = json.dumps([{"re": re, "im": im, "mult": mult} for re, im, mult in cols])
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    write_text(target, text)
+def save_zero_set(zs: ZeroSet, target) -> None:
+    """Write a zero set as ``re,im,mult`` CSV lines; floats round-trip bit-exactly."""
+    write_csv(target, "", zs.res, zs.ims, zs.mults)
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +339,9 @@ def decompose_uniformly_discrete(
 # ----------------------------------------------------------------------
 # summability diagnostics
 
+# share of nonfinite log-modulus nodes cartwright_integral_estimate tolerates
+MAX_SKIP_FRACTION = 0.01
+
 
 def blaschke_sum(zs: ZeroSet) -> float:
     """``sum mult * im / |z|^2`` over the whole set."""
@@ -362,17 +358,13 @@ def blaschke_tail(zs: ZeroSet, radius: float) -> float:
 
 
 def cartwright_integral_estimate(
-    log_modulus: Callable,
-    radius: float,
-    grid_step: float,
-    *,
-    max_skip_fraction: float = 0.01,
+    log_modulus: Callable, radius: float, grid_step: float
 ) -> CartwrightEstimate:
     """Trapezoid estimate of ``integral of max(log|F|, 0)/(1+x^2)`` on ``[-R, R]``.
 
     Grid nodes where the evaluator is not finite (real zeros of the model
     give ``-inf``) are skipped; since ``max(., 0)`` sends them to zero they
-    cost nothing, but more than ``max_skip_fraction`` of them is an error.
+    cost nothing, but more than ``MAX_SKIP_FRACTION`` of them is an error.
     The radius is reported back so callers can inspect convergence in R.
     """
     if not radius > 0:
@@ -385,9 +377,9 @@ def cartwright_integral_estimate(
         vals = evaluate_on_grid(log_modulus, xs)
     finite = np.isfinite(vals)
     skipped = int(n - finite.sum())
-    if skipped > max_skip_fraction * n:
+    if skipped > MAX_SKIP_FRACTION * n:
         raise PreconditionError(
-            f"{skipped} of {n} nodes are nonfinite, beyond the {max_skip_fraction:.0%} budget"
+            f"{skipped} of {n} nodes are nonfinite, beyond the {MAX_SKIP_FRACTION:.0%} budget"
         )
     integrand = np.where(finite, np.maximum(vals, 0.0), 0.0) / (1.0 + xs**2)
-    return CartwrightEstimate(float(trapezoid(integrand, xs)), radius, skipped, n)
+    return CartwrightEstimate(float(np.trapezoid(integrand, xs)), radius, skipped, n)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import read_text, write_text
+from ._numutil import read_text, write_csv
 from .errors import InputFormatError, PreconditionError
 from .zeros import ZeroSet, upper_density_profile
 
@@ -180,17 +180,17 @@ def referee_example2(k_max: int) -> ZooModel:
     return _offset_form(ks, delta_log3, "example2", 0.0, log_modulus, truncation=k_max)
 
 
-def cluster_model(count: int, center: float = 0.5, height: float = 1.0) -> ZooModel:
-    """One zero of multiplicity ``count`` at ``center + i*height``."""
+def cluster_model(count: int, height: float = 1.0) -> ZooModel:
+    """One zero of multiplicity ``count`` at ``0.5 + i*height``."""
     if count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
     if not height > 0:
         raise PreconditionError(f"height must be positive, got {height}")
 
     def log_modulus(x, height):
-        return count * 0.5 * np.log((x - center) ** 2 + height * height)
+        return count * 0.5 * np.log((x - 0.5) ** 2 + height * height)
 
-    return ZooModel("cluster", np.array([center], dtype=float), height, log_modulus,
+    return ZooModel("cluster", np.array([0.5]), height, log_modulus,
                     mult=np.array([count], dtype=np.int64), truncation=count)
 
 
@@ -267,12 +267,15 @@ def relative_zero_set(model: ZooModel, base: float | int) -> ZeroSet:
 def write_delta_csv(model: ZooModel, target) -> None:
     if model.k is None:
         raise PreconditionError("only offset-form models export delta CSV")
-    lines = ["# format: delta-log3", "re_base,delta_log3,im,mult"]
-    lines += [
-        f"{3**k},{dl!r},{model.height!r},1"
-        for k, dl in zip(model.k.tolist(), model.delta_log3.tolist())
-    ]
-    write_text(target, "\n".join(lines) + "\n")
+    n = model.k.size
+    write_csv(
+        target,
+        "# format: delta-log3\nre_base,delta_log3,im,mult\n",
+        np.array([3**k for k in model.k.tolist()], dtype=object),
+        model.delta_log3,
+        np.full(n, model.height),
+        np.ones(n, dtype=np.int64),
+    )
 
 
 def _power_of_three(value: int, lineno: int) -> int:

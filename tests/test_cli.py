@@ -191,6 +191,17 @@ def test_verify_theorem_sine_control_never_crosses(capsys):
     assert "threshold 5 not crossed" in err
 
 
+def test_verify_theorem_stdout_ends_with_control_line(capsys):
+    code, out, _ = run(capsys, "verify-theorem", "--model", "cluster", "--K", "12,60")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == "K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound"
+    assert [line.split(",")[0] for line in lines[1:3]] == ["12.0", "60.0"]
+    assert lines[3].startswith("# control sine-type (N=200) bound: ")
+    assert float(lines[3].rsplit(" ", 1)[1]) > 0
+    assert lines[4:] == [""]  # the control line ends the output
+
+
 def test_zoo_round_trip_bit_exact(tmp_path, capsys):
     out_path = tmp_path / "cluster.csv"
     code, _, _ = run(capsys, "zoo", "--model", "cluster", "--K", "7", "--out", str(out_path))

@@ -1,13 +1,14 @@
 """Sampled-function container and its CSV round trip."""
 
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from stripzeros import InputFormatError, SampledFunction
+from stripzeros import InputFormatError, PreconditionError, SampledFunction
 
 
 def test_validation():
@@ -57,6 +58,15 @@ def test_csv_round_trip_bit_exact():
     assert np.array_equal(back.values, f.values)
 
 
+def test_csv_header_takes_numpy_scalars():
+    f = SampledFunction(np.float64(-1.0), np.float64(0.5), np.zeros(3))
+    buf = io.StringIO()
+    f.to_csv(buf)
+    assert buf.getvalue().startswith("# t0=-1.0 h=0.5 n=3\n")
+    back = SampledFunction.from_csv(io.StringIO(buf.getvalue()))
+    assert (back.t0, back.h) == (-1.0, 0.5)
+
+
 def test_csv_infers_grid_without_header():
     text = "t,value\n0.0,1.0\n0.5,2.0\n1.0,3.0\n"
     f = SampledFunction.from_csv(io.StringIO(text))
@@ -69,6 +79,13 @@ def test_from_function():
     f = SampledFunction.from_function(np.cos, 0.0, 0.1, 11)
     assert f.values[0] == 1.0
     assert f.values[10] == pytest.approx(np.cos(1.0))
+
+
+def test_from_function_calls_the_evaluator_once_on_the_array():
+    with pytest.raises(TypeError):  # math.cos takes no array, and that propagates
+        SampledFunction.from_function(math.cos, 0.0, 0.1, 11)
+    with pytest.raises(PreconditionError, match="shape"):
+        SampledFunction.from_function(lambda t: 1.0, 0.0, 0.1, 11)
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,16 @@ def test_delta_csv_round_trip():
     assert (count, ok) == count_claim_check(model, 8)
 
 
+@pytest.mark.parametrize("k_max", [40, 45])  # 3^40 fits uint64, 3^41 does not
+def test_delta_csv_writes_exact_bases_beyond_int64(k_max):
+    model = shift_to_strip(referee_example2(k_max), 1.0)
+    buf = io.StringIO()
+    write_delta_csv(model, buf)
+    rows = buf.getvalue().splitlines()[2:]
+    assert [r.split(",")[0] for r in rows] == [str(3**k) for k in model.k.tolist()]
+    assert load_delta_csv(io.StringIO(buf.getvalue())).k.tolist() == model.k.tolist()
+
+
 def _delta_csv(*rows):
     return io.StringIO("# format: delta-log3\nre_base,delta_log3,im,mult\n" + "".join(rows))
 
