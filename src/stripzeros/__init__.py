@@ -36,7 +36,6 @@ from .zeros import (
 from .argbranch import (
     ArgBranchValue,
     PhiSumResult,
-    default_truncation_radius,
     find_growth_window,
     growth_constant,
     phi,

@@ -112,16 +112,16 @@ def phi_derivative(z: complex, t: float) -> float:
     return y * (x * x + y * y) / (d * d + y * y * t * t)
 
 
-def _branch_sum(acc, res, ims, weights, ts, radii=None) -> np.ndarray:
-    """Add ``sum_z weights_z * phi_z(t)`` into ``acc`` at every node ``t``.
+def _branch_sum(res, ims, weights, ts, radii) -> np.ndarray:
+    """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
-    The zeros are ``res + i*ims``; ``acc`` has the shape of ``ts``.  Work
-    proceeds in blocks of at most ``ZERO_BLOCK`` zeros by ``NODE_BLOCK``
-    nodes, and blocks of zeros are added in order.  With ``radii`` (the
-    zeros' moduli) given, a branch correction at a zero with
+    The zeros are ``res + i*ims`` with moduli ``radii``.  Work proceeds in
+    blocks of at most ``ZERO_BLOCK`` zeros by ``NODE_BLOCK`` nodes, and
+    blocks of zeros are added in order.  A branch correction at a zero with
     ``|z| > 2|t|`` raises :class:`VerificationError`: the tail bound of
     :func:`phi_sum` presumes there is none.
     """
+    acc = np.zeros(ts.size)
     for j in range(0, ts.size, NODE_BLOCK):
         t = ts[None, j : j + NODE_BLOCK]
         for i in range(0, res.size, ZERO_BLOCK):
@@ -138,49 +138,50 @@ def _branch_sum(acc, res, ims, weights, ts, radii=None) -> np.ndarray:
             np.arctan(vals, out=vals)
             nonpos = d <= 0.0
             if nonpos.any():
-                if radii is not None and (
-                    nonpos & (radii[i : i + ZERO_BLOCK, None] > 2.0 * np.abs(t))
-                ).any():
+                # indexed: dense block-sized masks raised the scan's peak memory
+                ii, jj = np.nonzero(nonpos)
+                if (radii[i + ii] > 2.0 * np.abs(t[0, jj])).any():
                     raise VerificationError(
                         "branch correction triggered beyond 2|t|; tail bound invalid"
                     )
-                vals += np.where(d < 0.0, np.where(x > 0.0, math.pi, -math.pi), 0.0)
+                vals[ii, jj] += np.where(
+                    d[ii, jj] < 0.0, np.where(x[ii, 0] > 0.0, math.pi, -math.pi), 0.0
+                )
             acc[j : j + NODE_BLOCK] += weights[i : i + ZERO_BLOCK] @ vals
     return acc
 
 
-def phi_sum(zs: ZeroSet, t, truncation_radius: float) -> PhiSumResult:
+def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
     """Multiplicity-weighted branch sum over ``|z| <= truncation_radius``.
 
-    ``t`` is a scalar or an array of nodes.  For an omitted zero,
+    ``t`` is a scalar or an array of nodes; a radius of ``None`` keeps every
+    zero, taking ``max(2*max|t| + 1, max|z| + 1)``.  For an omitted zero,
     ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so no branch
     correction applies there and ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the
     omitted terms are therefore bounded by ``2*|t|`` times the truncation
-    remainder of the summability series.
+    remainder of the summability series.  A sum that is not finite (``|z|``
+    near the float range overflows) raises :class:`PreconditionError`.
     """
     ts = np.asarray(t, dtype=float)
     required = 2.0 * float(np.abs(ts).max())
-    if not truncation_radius > required:
+    radii = np.hypot(zs.res, zs.ims)
+    if truncation_radius is None:
+        truncation_radius = max(required + 1.0, float(radii.max()) + 1.0)
+    elif not truncation_radius > required:
         raise TruncationError(
             f"truncation radius {truncation_radius} too small: "
             f"needs > 2|t| = {required}"
         )
-    radii = np.hypot(zs.res, zs.ims)
     keep = radii <= truncation_radius
     value = _branch_sum(
-        np.zeros(ts.size), zs.res[keep], zs.ims[keep], zs.mults[keep],
-        ts.ravel(), radii[keep],
+        zs.res[keep], zs.ims[keep], zs.mults[keep], ts.ravel(), radii[keep]
     )
+    if not np.isfinite(value).all():
+        raise PreconditionError("branch sum is not finite; zero coordinates overflow")
     tail = TAIL_CONSTANT * np.abs(ts) * blaschke_tail(zs, truncation_radius)
     if ts.ndim == 0:
         return PhiSumResult(float(value[0]), float(truncation_radius), float(tail))
     return PhiSumResult(value.reshape(ts.shape), float(truncation_radius), tail)
-
-
-def default_truncation_radius(zs: ZeroSet, t_max: float) -> float:
-    """A radius covering every zero and valid for all ``|t| <= t_max``."""
-    far = float(np.hypot(zs.res, zs.ims).max())
-    return max(2.0 * t_max + 1.0, far + 1.0)
 
 
 def find_growth_window(zs: ZeroSet, target: float) -> float | None:
@@ -203,8 +204,8 @@ def find_growth_window(zs: ZeroSet, target: float) -> float | None:
     if ok.size == 0:
         return None
     a = float(anchors[ok[0]])
-    radius = default_truncation_radius(zs, abs(a) + 1.0)
-    increment = phi_sum(zs, a + 1.0, radius).value - phi_sum(zs, a, radius).value
+    ends = phi_sum(zs, np.array([a, a + 1.0]), None).value
+    increment = ends[1] - ends[0]
     if increment < target - 1e-9:
         raise VerificationError(
             f"window [{a}, {a + 1}] holds {int(counts[ok[0]])} zeros "

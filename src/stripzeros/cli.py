@@ -14,13 +14,13 @@ from dataclasses import astuple
 import numpy as np
 
 from ._numutil import write_csv
-from .argbranch import _branch_sum, default_truncation_radius, phi_sum
+from .argbranch import phi_sum
 from .errors import InputFormatError, PreconditionError
 from .logmodel import theorem_divergence_scan
 from .hilbert import hilbert_transform_sampled
 from .oscillation import bmo_estimate
 from .sampled import SampledFunction
-from .zeros import load_zero_set, save_zero_set, upper_density_profile
+from .zeros import ZeroSet, load_zero_set, save_zero_set, upper_density_profile
 from . import zoo
 
 __all__ = ["main"]
@@ -50,6 +50,14 @@ def _parse_floats(
 
 def _parse_number(text: str, flag: str) -> float:
     return _parse_floats(text, f"{flag} needs a finite number", count=1)[0]
+
+
+def _parse_increasing(text: str | None, what: str) -> list[float]:
+    """The finite numbers in ``text``, which must be positive and strictly increasing."""
+    vals = _parse_floats(text, what)
+    if not all(v > 0 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise InputFormatError(f"{what}, got {text!r}")
+    return vals
 
 
 def _parse_ks(text: str | None) -> list[int]:
@@ -87,7 +95,9 @@ def _grid_template(args: argparse.Namespace) -> SampledFunction:
 def cmd_density(args: argparse.Namespace) -> int:
     if not args.zeros:
         raise InputFormatError("density needs --zeros PATH")
-    radii = _parse_floats(args.radii, "--radii needs finite numbers")
+    radii = _parse_increasing(
+        args.radii, "--radii needs finite, positive, increasing numbers"
+    )
     if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
     profile = upper_density_profile(_load_zeros(args.zeros), radii)
@@ -115,15 +125,9 @@ def cmd_phi(args: argparse.Namespace) -> int:
         x, y = _parse_floats(args.zero, what, count=2)
         if not y > 0:
             raise InputFormatError(f"{what}, got {args.zero!r}")
-        values = _branch_sum(
-            np.zeros(ts.size), np.array([x]), np.array([y]), np.ones(1), ts
-        )
-        header, columns = "t,phi\n", (ts, values)
+        header, columns = "t,phi\n", (ts, phi_sum(ZeroSet([x], [y]), ts, None).value)
     elif args.zeros:
-        zs = _load_zeros(args.zeros)
-        if radius is None:
-            radius = default_truncation_radius(zs, float(np.abs(ts).max()))
-        r = phi_sum(zs, ts, radius)
+        r = phi_sum(_load_zeros(args.zeros), ts, radius)
         header, columns = "t,phi_sum,tail_bound\n", (ts, r.value, r.tail_bound)
     else:
         raise InputFormatError("phi needs --zero X,Y or --zeros PATH")
@@ -194,12 +198,9 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    what = "thresholds must be finite, positive and increasing"
-    thresholds = _parse_floats(args.thresholds, what)
-    if not all(t > 0 for t in thresholds) or any(
-        b <= a for a, b in zip(thresholds, thresholds[1:])
-    ):
-        raise InputFormatError(f"{what}, got {args.thresholds!r}")
+    thresholds = _parse_increasing(
+        args.thresholds, "thresholds must be finite, positive and increasing"
+    )
     if not args.model:
         raise InputFormatError("verify-theorem needs --model NAME")
     k_list = _parse_ks(args.K)

@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .argbranch import TAIL_CONSTANT, _branch_sum, default_truncation_radius
-from .errors import HelsonSzegoBoundError, PreconditionError, TruncationError
+from .argbranch import phi_sum
+from .errors import HelsonSzegoBoundError, PreconditionError
 from .hilbert import hilbert_transform_sampled
 from .oscillation import OscillationReport, bmo_estimate
 from .sampled import SampledFunction
-from .zeros import ZeroSet, blaschke_tail
+from .zeros import ZeroSet
 from .zoo import ZooModel, hot_unit_window, relative_zero_set
 
 __all__ = [
@@ -47,14 +47,13 @@ SCAN_STEP = 0.005
 
 @dataclass(frozen=True)
 class HilbertLogModel:
-    """Width of the indicator diagram, a free constant, and the zeros.
+    """Width of the indicator diagram and the zeros.
 
-    The constant has no formula and all oscillation quantities kill it;
-    it defaults to zero.
+    The additive constant has no formula and every oscillation quantity
+    kills it, so it is taken as zero.
     """
 
     indicator_width: float
-    theta: float
     zeros: ZeroSet | None
 
     def __post_init__(self):
@@ -69,24 +68,14 @@ def hlf_samples(
     template: SampledFunction,
     truncation_radius: float | None = None,
 ) -> tuple[SampledFunction, float]:
-    """Model samples on the template grid and the worst-case tail bound."""
+    """Samples of ``(T/2)*t - phi_sum`` on the template grid, and the worst tail bound."""
     ts = template.grid
-    acc = model.theta + 0.5 * model.indicator_width * ts
+    acc = 0.5 * model.indicator_width * ts
     tail = 0.0
     if model.zeros is not None:
-        zs = model.zeros
-        t_max = float(np.abs(ts).max())
-        radius = truncation_radius
-        if radius is None:
-            radius = default_truncation_radius(zs, t_max)
-        elif not radius > 2.0 * t_max:
-            raise TruncationError(
-                f"truncation radius {radius} too small: needs > 2 max|t| = {2 * t_max}"
-            )
-        keep = np.hypot(zs.res, zs.ims) <= radius
-        # negated weights subtract the branch sum block by block
-        _branch_sum(acc, zs.res[keep], zs.ims[keep], -zs.mults[keep], ts)
-        tail = TAIL_CONSTANT * t_max * blaschke_tail(zs, radius)
+        r = phi_sum(model.zeros, ts, truncation_radius)
+        acc -= r.value
+        tail = float(r.tail_bound.max())
     return template.like(acc), tail
 
 
@@ -158,12 +147,12 @@ def theorem_divergence_scan(
     """BMO lower bounds of the transform model near each member's hot window.
 
     The grid geometry (``SCAN_*``) is fixed across the family, and each
-    member uses its own indicator width with ``theta = 0``.  The grid is
-    anchored at each member's densest unit window and the zeros enter as
-    offsets from that anchor, since oscillation over an interval is
-    unchanged by translating zeros and grid together and the
-    anchor-dependent constants drop out.  Every zero is kept, so the tail
-    bound is zero unless a truncation is forced by the data.
+    member uses its own indicator width.  The grid is anchored at each
+    member's densest unit window and the zeros enter as offsets from that
+    anchor, since oscillation over an interval is unchanged by translating
+    zeros and grid together and the anchor-dependent constants drop out.
+    Every zero is kept, so the tail bound is zero unless a truncation is
+    forced by the data.
     """
     rows = []
     n = int(round(2.0 * SCAN_HALFSPAN / SCAN_STEP)) + 1
@@ -172,8 +161,8 @@ def theorem_divergence_scan(
         zs_rel = relative_zero_set(model, base)
         t0 = rel_anchor + 0.5 - SCAN_HALFSPAN
         template = SampledFunction(t0, SCAN_STEP, np.zeros(n))
-        # theta + (T/2)*base is constant over the window and is dropped
-        hlf_model = HilbertLogModel(model.indicator_width, 0.0, zs_rel)
+        # (T/2)*base is constant over the window and is dropped
+        hlf_model = HilbertLogModel(model.indicator_width, zs_rel)
         g, tail = hlf_samples(hlf_model, template)
         rep: OscillationReport = bmo_estimate(g, SCAN_INTERVAL, SCAN_INTERVAL)
         rows.append(

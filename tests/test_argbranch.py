@@ -244,17 +244,18 @@ def test_phi_sum_cluster_increment():
 
 
 def test_phi_sum_array_matches_fsum_of_scalar_phi():
-    # exact swap points (1+i at t=2, -1+i at t=-2), x = 0, |x| up to 1e15
-    # on both sides of its swap point, and more zeros than one kernel block
+    # exact swap points (1+i at t=2, -1+i at t=-2, 2+2i at t=4), x = 0, |x|
+    # up to 1e15 on both sides of its swap point, and more zeros than one
+    # kernel block
     rng = np.random.default_rng(7)
     zs = ZeroSet(
-        np.concatenate(([1.0, -1.0, 0.0, 3.0, 1e15, -1e15], rng.uniform(-30, 30, 400))),
-        np.concatenate(([1.0, 1.0, 2.0, 2.0, 1.0, 0.5], rng.uniform(0.2, 3.0, 400))),
-        np.concatenate(([2, 1, 3, 1, 1, 2], rng.integers(1, 4, 400))),
+        np.concatenate(([1.0, -1.0, 0.0, 3.0, 1e15, -1e15, 2.0], rng.uniform(-30, 30, 400))),
+        np.concatenate(([1.0, 1.0, 2.0, 2.0, 1.0, 0.5, 2.0], rng.uniform(0.2, 3.0, 400))),
+        np.concatenate(([2, 1, 3, 1, 1, 2, 1], rng.integers(1, 4, 400))),
     )
     ts = np.concatenate((
         np.linspace(-20.0, 20.0, 81),
-        [2.0, -2.0, 13.0 / 3.0, 0.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
+        [2.0, -2.0, 13.0 / 3.0, 0.0, 4.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
     ))
     radius = 3e15
     got = phi_sum(zs, ts, radius)
@@ -291,6 +292,13 @@ def test_phi_sum_guards_the_tail_premise():
         for t in (0.0, np.array([1.0, 0.0])):
             with pytest.raises(VerificationError, match="beyond 2"):
                 phi_sum(zs, t, 10.0)
+
+
+def test_phi_sum_rejects_a_nonfinite_sum():
+    # y*y and y*t overflow, and inf/inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError, match="not finite"):
+            phi_sum(ZeroSet([1.0], [1e308]), np.array([0.0, 2.0]), None)
 
 
 def test_phi_sum_tail_bound_is_certified():

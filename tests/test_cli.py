@@ -52,14 +52,6 @@ def test_density_nonfinite_zero_exits_2(tmp_path, capsys, row):
     assert "input error: line 2:" in err
 
 
-def test_density_bad_radii_exits_3(tmp_path, capsys):
-    zeros = tmp_path / "zeros.csv"
-    zeros.write_text("0.0,1.0,1\n")
-    code, _, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "10,5")
-    assert code == 3
-    assert "precondition" in err
-
-
 def test_phi_single_zero_monotone(tmp_path, capsys):
     out_path = tmp_path / "phi.csv"
     code, _, _ = run(
@@ -81,6 +73,15 @@ def test_phi_sum_with_zero_file(tmp_path, capsys):
     p_vals = [float(r.split(",")[1]) for r in rows]
     assert t_vals == [0.0, 0.5, 1.0]
     assert p_vals == pytest.approx([0.0, math.atan(0.5), math.atan(1.0)])
+
+
+def test_phi_nonfinite_branch_sum_exits_3(capsys):
+    # y*y and y*t overflow, and inf/inf used to print the row 2.0,nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "phi", "--zero", "1,1e308", "--grid", "0:1:3")
+    assert code == 3
+    assert out == ""
+    assert "branch sum is not finite" in err
 
 
 def test_phi_zero_truncation_is_not_the_default(tmp_path, capsys):
@@ -296,6 +297,10 @@ def test_verify_theorem_unknown_model(capsys):
         (["bmo", "--input", "s.csv", "--lengths", "nan:5"], "--lengths needs finite"),
         (["bmo", "--input", "s.csv", "--lengths", "1:inf"], "--lengths needs finite"),
         (["density", "--zeros", "z.csv", "--radii", "inf"], "--radii needs finite"),
+        (["density", "--zeros", "z.csv", "--radii", "10,5"], "--radii needs finite"),
+        (["density", "--zeros", "z.csv", "--radii", "10,10"], "--radii needs finite"),
+        (["density", "--zeros", "z.csv", "--radii", "0"], "--radii needs finite"),
+        (["density", "--zeros", "z.csv", "--radii", "-1"], "--radii needs finite"),
         (["hilbert", "--const", "nan", "--grid", "0:1:3"], "--const needs a finite"),
         (
             ["phi", "--zero", "1,1", "--grid", "0:1:3", "--truncation", "0.1"],
@@ -322,6 +327,7 @@ def test_verify_theorem_unknown_model(capsys):
     ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
          "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
          "shift-nan", "truncation-nan", "lengths-nan", "lengths-inf", "radii-inf",
+         "radii-decreasing", "radii-repeated", "radii-zero", "radii-negative",
          "const-nan", "zero-with-truncation", "zero-with-zeros", "zoo-K-list",
          "truncation-sine", "truncation-example2", "truncation-verify-cluster"],
 )

@@ -191,6 +191,17 @@ def test_sampled_cosine_model_semantics():
     assert raw <= 0.02
 
 
+def _involution_spread(center, width, height):
+    """Half the spread of ``H(Hf) + f`` on the central half of a wide grid."""
+    f = SampledFunction.from_function(
+        smooth_bump(center, width, height), -1000.0, 0.02, 100001
+    )
+    hhf = hilbert_transform_sampled(hilbert_transform_sampled(f))
+    resid = -hhf.values - f.values
+    dev = resid[np.abs(f.grid) <= 500.0]
+    return (dev.max() - dev.min()) / 2.0
+
+
 def test_involution_on_smooth_bumps():
     params = [
         (0.0, 5.0, 1.0),
@@ -199,14 +210,18 @@ def test_involution_on_smooth_bumps():
         (5.0, 3.0, 0.5),
         (-30.0, 6.0, 0.9),
     ]
-    t0, h, n = -1000.0, 0.02, 100001
     for center, width, height in params:
-        f = SampledFunction.from_function(smooth_bump(center, width, height), t0, h, n)
-        hhf = hilbert_transform_sampled(hilbert_transform_sampled(f))
-        resid = -hhf.values - f.values
-        mid = np.abs(f.grid) <= 500.0
-        dev = resid[mid]
-        assert (dev.max() - dev.min()) / 2.0 <= 1e-3
+        assert _involution_spread(center, width, height) <= 1e-3
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    center=st.floats(-30.0, 30.0),
+    width=st.floats(3.0, 10.0),
+    height=st.floats(0.1, 1.0),
+)
+def test_involution_on_smooth_bumps_property(center, width, height):
+    assert _involution_spread(center, width, height) <= 1e-3
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from stripzeros import (
     HelsonSzegoBoundError,
     HilbertLogModel,
     SampledFunction,
+    VerificationError,
     ZeroSet,
     cluster_model,
     compose_helson_szego,
@@ -35,7 +36,7 @@ def template(t0, h, n):
 
 
 def test_hlf_empty_zero_set_is_linear():
-    model = HilbertLogModel(2.0, 0.0, None)
+    model = HilbertLogModel(2.0, None)
     grid = template(-3.0, 0.1, 48)
     sampled, tail = hlf_samples(model, grid, 100.0)
     assert sampled.values == pytest.approx(grid.grid)
@@ -43,7 +44,7 @@ def test_hlf_empty_zero_set_is_linear():
 
 
 def test_hlf_single_imaginary_zero():
-    model = HilbertLogModel(0.0, 0.0, ZeroSet([0.0], [1.0]))
+    model = HilbertLogModel(0.0, ZeroSet([0.0], [1.0]))
     grid = template(-2.0, 0.5, 23)
     sampled, tail = hlf_samples(model, grid, 1000.0)
     assert sampled.values == pytest.approx(-np.arctan(grid.grid), abs=1e-14)
@@ -54,7 +55,7 @@ def test_hlf_truncation_convergence():
     # widening the truncation moves the values by no more than the
     # certified tail bound of the narrower sum
     zs = ZeroSet(np.arange(-400.0, 401.0), np.ones(801))
-    model = HilbertLogModel(2 * math.pi, 0.0, zs)
+    model = HilbertLogModel(2 * math.pi, zs)
     grid = template(-10.0, 0.25, 81)
     narrow, tail_narrow = hlf_samples(model, grid, truncation_radius=200.5)
     wide, _ = hlf_samples(model, grid, truncation_radius=401.0)
@@ -64,7 +65,7 @@ def test_hlf_truncation_convergence():
 
 def test_hlf_samples_match_pointwise_evaluation():
     zs = ZeroSet([-2.0, 3.0], [0.7, 1.5], [2, 1])
-    model = HilbertLogModel(1.0, 0.3, zs)
+    model = HilbertLogModel(1.0, zs)
     grid = template(-5.0, 0.5, 21)
     sampled, _ = hlf_samples(model, grid)
     for i, t in enumerate(grid.grid.tolist()):
@@ -72,7 +73,7 @@ def test_hlf_samples_match_pointwise_evaluation():
             m * phi(complex(x, y), t).value
             for x, y, m in zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
         ]
-        expected = 0.3 + 0.5 * t - math.fsum(branches)
+        expected = 0.5 * t - math.fsum(branches)
         assert sampled.values[i] == pytest.approx(expected, abs=1e-12)
     # more zeros and nodes than one kernel block: samples equal the linear
     # term minus the array branch sum up to the order of subtraction
@@ -80,14 +81,23 @@ def test_hlf_samples_match_pointwise_evaluation():
     zs = ZeroSet(
         rng.uniform(-60, 60, 600), rng.uniform(0.2, 3.0, 600), rng.integers(1, 4, 600)
     )
-    model = HilbertLogModel(2 * math.pi, 0.3, zs)
+    model = HilbertLogModel(2 * math.pi, zs)
     grid = template(-25.0, 0.01, 5001)
     radius = 200.0
     sampled, _ = hlf_samples(model, grid, radius)
-    base = 0.3 + math.pi * grid.grid
+    base = math.pi * grid.grid
     expected = base - phi_sum(zs, grid.grid, radius).value
     tol = 8 * np.finfo(float).eps * (np.abs(base) + math.pi * zs.weight)
     assert (np.abs(sampled.values - expected) <= tol).all()
+
+
+def test_hlf_samples_guard_the_tail_premise():
+    # the zero set on which phi_sum refuses an unfounded tail bound; the
+    # samples take the same truncation and must refuse it too
+    model = HilbertLogModel(1.0, ZeroSet([1e-200, 0.0], [1e-200, 1.0]))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(VerificationError, match="beyond 2"):
+            hlf_samples(model, template(-1.0, 0.5, 5))
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +105,7 @@ def test_hlf_samples_match_pointwise_evaluation():
 
 
 def test_reconstruct_empty_model_is_zero():
-    model = HilbertLogModel(0.0, 0.0, None)
+    model = HilbertLogModel(0.0, None)
     out = reconstruct_log_modulus(model, template(-150.0, 0.05, 6001))
     assert np.abs(out.values).max() <= 1e-9
 
@@ -105,7 +115,7 @@ def test_reconstruct_sine_type_band():
     # additive constant; truncation at |n| <= 3000 leaves a smooth drift
     # well under the 0.05 budget on the central half
     zoo_model = sine_type_model(1.0, truncation=3000)
-    model = HilbertLogModel(2 * math.pi, 0.0, zoo_model.zeros)
+    model = HilbertLogModel(2 * math.pi, zoo_model.zeros)
     out = reconstruct_log_modulus(model, template(-120.0, 0.02, 12001))
     mid = np.abs(out.grid) <= 60.0
     centered = out.values[mid] - out.values[mid].mean()
