@@ -147,12 +147,12 @@ def theorem_divergence_scan(
     """BMO lower bounds of the transform model near each member's hot window.
 
     The grid geometry (``SCAN_*``) is fixed across the family, and each
-    member uses its own indicator width.  The grid is anchored at each
-    member's densest unit window and the zeros enter as offsets from that
-    anchor, since oscillation over an interval is unchanged by translating
-    zeros and grid together and the anchor-dependent constants drop out.
-    Every zero is kept, so the tail bound is zero unless a truncation is
-    forced by the data.
+    member uses its own indicator width.  The grid is
+    anchored at each member's densest unit window and the zeros enter as
+    offsets from that anchor, since oscillation over an interval is
+    unchanged by translating zeros and grid together and the
+    anchor-dependent constants drop out.  Every zero is kept, so the tail
+    bound is zero unless a truncation is forced by the data.
     """
     rows = []
     n = int(round(2.0 * SCAN_HALFSPAN / SCAN_STEP)) + 1
