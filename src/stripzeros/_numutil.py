@@ -14,6 +14,11 @@ from .errors import PreconditionError
 # rows formatted per block by write_csv; larger blocks raised peak memory
 CSV_BLOCK = 1 << 12
 
+# elements per float temporary of the block kernels (argbranch._branch_sum,
+# oscillation._oscillation_rows): 256 KB, so every elementwise pass over a
+# block stays in a core's L2 cache instead of streaming from L3
+BLOCK_ELEMS = 1 << 15
+
 
 def evaluate_on_grid(f: Callable, xs: np.ndarray) -> np.ndarray:
     """``f`` applied once to the array ``xs``, as floats of its shape.

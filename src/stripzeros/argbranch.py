@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._numutil import BLOCK_ELEMS
 from .errors import PreconditionError, TruncationError, VerificationError
 from .zeros import ZeroSet, blaschke_tail, window_count
 
@@ -46,8 +47,7 @@ __all__ = [
 # |phi_z(t)| <= TAIL_CONSTANT * |t| * y/|z|^2 once |z| > 2|t|; see phi_sum
 TAIL_CONSTANT = 2.0
 
-# block shape of the branch kernel: zeros x nodes, about 8 MB per temporary
-ZERO_BLOCK = 256
+# nodes per block of the branch kernel; zeros per block follow from BLOCK_ELEMS
 NODE_BLOCK = 4096
 
 
@@ -116,38 +116,42 @@ def _branch_sum(res, ims, weights, ts, radii) -> np.ndarray:
     """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
     The zeros are ``res + i*ims`` with moduli ``radii``.  Work proceeds in
-    blocks of at most ``ZERO_BLOCK`` zeros by ``NODE_BLOCK`` nodes, and
-    blocks of zeros are added in order.  A branch correction at a zero with
-    ``|z| > 2|t|`` raises :class:`VerificationError`: the tail bound of
-    :func:`phi_sum` presumes there is none.
+    blocks of up to ``NODE_BLOCK`` nodes by as many zeros as keep a block
+    within ``BLOCK_ELEMS`` elements, and blocks of zeros are added in
+    order.  Overflow and 0/0 are left to :func:`phi_sum`'s finiteness
+    check.  A branch correction at a zero with ``|z| > 2|t|`` raises
+    :class:`VerificationError`: the tail bound of :func:`phi_sum` presumes
+    there is none.
     """
     acc = np.zeros(ts.size)
-    for j in range(0, ts.size, NODE_BLOCK):
-        t = ts[None, j : j + NODE_BLOCK]
-        for i in range(0, res.size, ZERO_BLOCK):
-            x = res[i : i + ZERO_BLOCK, None]
-            y = ims[i : i + ZERO_BLOCK, None]
-            # d = y*y + x*(x - t) and vals = arctan(y*t/d), built in place so
-            # that a block holds two large temporaries; the rounding is the same
-            d = x - t
-            d *= x
-            d += y * y
-            vals = y * t
-            with np.errstate(divide="ignore"):
+    rows = max(1, BLOCK_ELEMS // min(ts.size, NODE_BLOCK))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(0, ts.size, NODE_BLOCK):
+            t = ts[None, j : j + NODE_BLOCK]
+            for i in range(0, res.size, rows):
+                x = res[i : i + rows, None]
+                y = ims[i : i + rows, None]
+                # d = y*y + x*(x - t) and vals = arctan(y*t/d), built in place
+                # so that a block holds two large temporaries; the rounding is
+                # the same
+                d = x - t
+                d *= x
+                d += y * y
+                vals = y * t
                 vals /= d  # d == 0 gives +-pi/2 via arctan(+-inf)
-            np.arctan(vals, out=vals)
-            nonpos = d <= 0.0
-            if nonpos.any():
-                # indexed: dense block-sized masks raised the scan's peak memory
-                ii, jj = np.nonzero(nonpos)
-                if (radii[i + ii] > 2.0 * np.abs(t[0, jj])).any():
-                    raise VerificationError(
-                        "branch correction triggered beyond 2|t|; tail bound invalid"
+                np.arctan(vals, out=vals)
+                nonpos = d <= 0.0
+                if nonpos.any():
+                    # indexed: dense block-sized masks raised the scan's peak memory
+                    ii, jj = np.nonzero(nonpos)
+                    if (radii[i + ii] > 2.0 * np.abs(t[0, jj])).any():
+                        raise VerificationError(
+                            "branch correction triggered beyond 2|t|; tail bound invalid"
+                        )
+                    vals[ii, jj] += np.where(
+                        d[ii, jj] < 0.0, np.where(x[ii, 0] > 0.0, math.pi, -math.pi), 0.0
                     )
-                vals[ii, jj] += np.where(
-                    d[ii, jj] < 0.0, np.where(x[ii, 0] > 0.0, math.pi, -math.pi), 0.0
-                )
-            acc[j : j + NODE_BLOCK] += weights[i : i + ZERO_BLOCK] @ vals
+                acc[j : j + NODE_BLOCK] += weights[i : i + rows] @ vals
     return acc
 
 

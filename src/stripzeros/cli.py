@@ -137,6 +137,10 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.input:
+        if args.const is not None or args.grid is not None:
+            raise InputFormatError(
+                "--input conflicts with --const and --grid; give the file or a constant"
+            )
         f = SampledFunction.from_csv(args.input)
     elif args.const is not None:
         template = _grid_template(args)

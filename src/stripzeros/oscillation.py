@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numutil import BLOCK_ELEMS
 from .errors import (
     GridRangeError,
     InsufficientJumpError,
@@ -35,9 +36,6 @@ __all__ = [
 ]
 
 MONOTONE_SLACK = 1e-12  # per-step tolerance for "nondecreasing"
-
-# cells per block of rows in the sweep kernel, about 8 MB per temporary
-ROW_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def _oscillation_rows(f: SampledFunction, a: np.ndarray, b: np.ndarray):
     """
     grid = f.grid
     width = int(math.ceil(float(np.max(b - a)) / f.h)) + 2
-    rows = max(1, ROW_BLOCK_ELEMS // (width + 2))
+    rows = max(1, BLOCK_ELEMS // (width + 2))
     out = np.empty((2, a.size))
     for s in range(0, a.size, rows):
         lo, hi = a[s : s + rows, None], b[s : s + rows, None]

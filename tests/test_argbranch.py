@@ -1,6 +1,7 @@
 """Argument branches: values, continuity, derivative, sums, growth windows."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from stripzeros import argbranch
 from stripzeros import (
     PreconditionError,
     TruncationError,
@@ -23,6 +25,16 @@ from stripzeros import (
 
 def branch_point(z):
     return (z.real**2 + z.imag**2) / z.real
+
+
+# branch-kernel block sizes to run the phi_sum tests under: the defaults, and
+# one zero by 7 nodes per block, so that sums cross zero and node blocks
+KERNEL_BLOCKS = [{}, {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7}]
+
+
+def set_kernel_blocks(monkeypatch, blocks):
+    for name, value in blocks.items():
+        monkeypatch.setattr(argbranch, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +255,7 @@ def test_phi_sum_cluster_increment():
     assert inc == pytest.approx(100 * 2 * math.atan(0.5), rel=1e-12)
 
 
-def test_phi_sum_array_matches_fsum_of_scalar_phi():
+def test_phi_sum_array_matches_fsum_of_scalar_phi(monkeypatch):
     # exact swap points (1+i at t=2, -1+i at t=-2, 2+2i at t=4), x = 0, |x|
     # up to 1e15 on both sides of its swap point, and more zeros than one
     # kernel block
@@ -258,20 +270,26 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi():
         [2.0, -2.0, 13.0 / 3.0, 0.0, 4.0, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.125],
     ))
     radius = 3e15
-    got = phi_sum(zs, ts, radius)
-    assert got.value.shape == ts.shape
-    assert (got.tail_bound == 0.0).all()  # every zero is inside the radius
     eps = np.finfo(float).eps
-    for t, v in zip(ts, got.value):
+    oracle = []
+    for t in ts:
         terms = [
             m * phi(complex(x, y), float(t)).value
             for x, y, m in zip(zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist())
         ]
-        ref = math.fsum(terms)
         # one rounding per term and per addition
         tol = (len(terms) + 1) * eps * math.fsum(abs(x) for x in terms)
-        assert abs(v - ref) <= tol, (t, v, ref)
-        assert phi_sum(zs, float(t), radius).value == pytest.approx(ref, abs=tol)
+        oracle.append((math.fsum(terms), tol))
+    for blocks in KERNEL_BLOCKS:
+        with monkeypatch.context() as m:
+            set_kernel_blocks(m, blocks)
+            got = phi_sum(zs, ts, radius)
+            assert got.value.shape == ts.shape
+            assert (got.tail_bound == 0.0).all()  # every zero is inside the radius
+            for t, v, (ref, tol) in zip(ts, got.value, oracle):
+                assert abs(v - ref) <= tol, (blocks, t, v, ref)
+                scalar = phi_sum(zs, float(t), radius).value
+                assert scalar == pytest.approx(ref, abs=tol), blocks
 
 
 def test_phi_sum_truncation_radius_gate():
@@ -284,19 +302,24 @@ def test_phi_sum_truncation_radius_gate():
     assert isinstance(phi_sum(zs, np.array([1.0, -9.0]), 20.0).value, np.ndarray)
 
 
-def test_phi_sum_guards_the_tail_premise():
+def test_phi_sum_guards_the_tail_premise(monkeypatch):
     # |z|^2 underflows to 0, so the zero looks branch-corrected at t = 0
-    # although |z| > 2|t|; the tail bound would then be unfounded
+    # although |z| > 2|t|; the tail bound would then be unfounded.  Sorted
+    # by re it is the second zero, so one-zero blocks put it in block 2
     zs = ZeroSet([1e-200, 0.0], [1e-200, 1.0])
-    with np.errstate(invalid="ignore"):
-        for t in (0.0, np.array([1.0, 0.0])):
-            with pytest.raises(VerificationError, match="beyond 2"):
-                phi_sum(zs, t, 10.0)
+    for blocks in KERNEL_BLOCKS:
+        with monkeypatch.context() as m:
+            set_kernel_blocks(m, blocks)
+            for t in (0.0, np.array([1.0, 0.0])):
+                with pytest.raises(VerificationError, match="beyond 2"):
+                    phi_sum(zs, t, 10.0)
 
 
 def test_phi_sum_rejects_a_nonfinite_sum():
-    # y*y and y*t overflow, and inf/inf is nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # y*y and y*t overflow, and inf/inf is nan; the error is raised without
+    # a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="not finite"):
             phi_sum(ZeroSet([1.0], [1e308]), np.array([0.0, 2.0]), None)
 

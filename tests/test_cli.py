@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +77,10 @@ def test_phi_sum_with_zero_file(tmp_path, capsys):
 
 
 def test_phi_nonfinite_branch_sum_exits_3(capsys):
-    # y*y and y*t overflow, and inf/inf used to print the row 2.0,nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # y*y and y*t overflow, and inf/inf used to print the row 2.0,nan; the
+    # failure is the exit-3 message alone, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(capsys, "phi", "--zero", "1,1e308", "--grid", "0:1:3")
     assert code == 3
     assert out == ""
@@ -303,6 +306,14 @@ def test_verify_theorem_unknown_model(capsys):
         (["density", "--zeros", "z.csv", "--radii", "-1"], "--radii needs finite"),
         (["hilbert", "--const", "nan", "--grid", "0:1:3"], "--const needs a finite"),
         (
+            ["hilbert", "--input", "s.csv", "--const", "5", "--grid", "0:1:3"],
+            "--input conflicts with --const and --grid",
+        ),
+        (
+            ["hilbert", "--input", "s.csv", "--grid", "0:1:3"],
+            "--input conflicts with --const and --grid",
+        ),
+        (
             ["phi", "--zero", "1,1", "--grid", "0:1:3", "--truncation", "0.1"],
             "--zero conflicts with --truncation",
         ),
@@ -328,8 +339,9 @@ def test_verify_theorem_unknown_model(capsys):
          "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
          "shift-nan", "truncation-nan", "lengths-nan", "lengths-inf", "radii-inf",
          "radii-decreasing", "radii-repeated", "radii-zero", "radii-negative",
-         "const-nan", "zero-with-truncation", "zero-with-zeros", "zoo-K-list",
-         "truncation-sine", "truncation-example2", "truncation-verify-cluster"],
+         "const-nan", "input-with-const", "input-with-grid", "zero-with-truncation",
+         "zero-with-zeros", "zoo-K-list", "truncation-sine", "truncation-example2",
+         "truncation-verify-cluster"],
 )
 def test_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -210,7 +210,7 @@ def test_blocked_sweep_matches_row_by_row(monkeypatch, min_len):
     rng = np.random.default_rng(3)
     f = SampledFunction(-4.0, 0.01, np.cumsum(rng.standard_normal(801)) * 0.1)
     whole = bmo_estimate(f, min_len, 2.0)
-    monkeypatch.setattr(oscillation, "ROW_BLOCK_ELEMS", 100)
+    monkeypatch.setattr(oscillation, "BLOCK_ELEMS", 100)
     assert bmo_estimate(f, min_len, 2.0) == whole
     rows = [mean_oscillation(f, a, b) for a, b in dyadic_family(f, min_len, 2.0)]
     first = max(rows, key=lambda r: r.oscillation)
