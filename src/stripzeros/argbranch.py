@@ -1,25 +1,26 @@
 """Continuous argument branches for strip zeros and their sums.
 
-For a zero ``z = x + iy`` (``y > 0``) the raw angle is
+For a zero ``z = x + iy`` (``y > 0``) the continuous branch phi_z is the
+argument that vanishes at ``t = 0`` and has derivative
 
-    psi_z(t) = arctan( y*t / (|z|^2 - x*t) ),
+    phi_z'(t) = y / (y^2 + (t - x)^2) > 0,
 
-taken in the principal branch.  The continuous branch phi_z adds +pi above
-the swap point ``t = |z|^2/x`` when ``x > 0`` and subtracts pi below it
-when ``x < 0``; exactly at the swap point the value is +-pi/2.  For
-``x = 0`` psi is already continuous and odd, so phi = psi.
-
-phi_z is strictly increasing with derivative
-
-    phi_z'(t) = y*(x^2+y^2) / ((x^2+y^2 - x*t)^2 + y^2*t^2),
-
-which, with ``t = x + d``, equals ``y/(y^2 + d^2)``: at unit distance this
-is at least ``min(alpha/(alpha^2+1), beta/(beta^2+1))`` on a strip
+so phi_z is strictly increasing, lies in ``(-pi, pi)`` and has the sign of
+``t``; at unit distance from ``x`` the derivative is at least
+``min(alpha/(alpha^2+1), beta/(beta^2+1))`` on a strip
 ``alpha <= y <= beta``, the per-zero growth constant used by the
-growth-window search.
+growth-window search.  Its tangent is ``y*t / (|z|^2 - x*t)``, and tan is
+one-to-one on ``(0, pi)`` and on ``(-pi, 0)``, so
 
-The denominator ``|z|^2 - x*t`` is evaluated as ``y^2 + x*(x - t)`` so the
-branch test stays exact for zeros with huge ``|x|`` sampled near ``t = x``.
+    phi_z(t) = atan2(y*t, y^2 + x*(x - t))
+
+exactly, with ``|z|^2 - x*t`` written as ``y^2 + x*(x - t)`` so that it
+stays accurate for zeros with huge ``|x|`` sampled near ``t = x``.
+
+Every input must lie in one range: ``|x|, y, |t| <= 2^511`` and
+``y >= 2^-511``.  There ``y^2`` is a normal float and every product above
+stays finite, so a value is never degraded by overflow or underflow; any
+other input, NaN included, is a :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -50,12 +51,15 @@ TAIL_CONSTANT = 2.0
 # nodes per block of the branch kernel; zeros per block follow from BLOCK_ELEMS
 NODE_BLOCK = 4096
 
+# the input range of phi, phi_derivative and phi_sum; see the module docstring
+RANGE_MAX = 2.0**511
+RANGE_MIN_IM = 2.0**-511
+
 
 class ArgBranchValue(NamedTuple):
-    """Branch value and where ``t`` sits relative to the swap point."""
+    """Continuous branch value."""
 
     value: float
-    region: str  # "below", "at" or "above" t = |z|^2/x
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,23 @@ class PhiSumResult:
     tail_bound: float | np.ndarray
 
 
-def _check_upper(z: complex) -> tuple[float, float]:
-    x, y = z.real, z.imag
-    if not y > 0:
-        raise PreconditionError(f"zero must have positive imaginary part, got {z}")
-    return x, y
+def _check_range(x_abs: float, y_lo: float, y_hi: float, t_abs: float) -> None:
+    """Reject inputs outside ``|x|, y, |t| <= 2^511`` and ``y >= 2^-511``.
+
+    The arguments are the largest ``|x|``, the smallest and largest ``y``
+    and the largest ``|t|`` of the inputs; NaN fails every comparison.
+    """
+    if not (
+        x_abs <= RANGE_MAX
+        and RANGE_MIN_IM <= y_lo
+        and y_hi <= RANGE_MAX
+        and t_abs <= RANGE_MAX
+    ):
+        raise PreconditionError(
+            "zeros or nodes outside the exact range |Re z|, Im z, |t| <= 2**511, "
+            f"Im z >= 2**-511: max|Re z| = {x_abs}, Im z in [{y_lo}, {y_hi}], "
+            f"max|t| = {t_abs}"
+        )
 
 
 def growth_constant(alpha: float, beta: float) -> float:
@@ -88,70 +104,44 @@ def growth_constant(alpha: float, beta: float) -> float:
 
 
 def phi(z: complex, t: float) -> ArgBranchValue:
-    """Continuous branch value at ``t`` with its branch region."""
-    x, y = _check_upper(z)
-    d = y * y + x * (x - t)
-    if x == 0.0:
-        return ArgBranchValue(math.atan(t / y), "below")
-    if d == 0.0:
-        return ArgBranchValue(math.copysign(math.pi / 2, x), "at")
-    raw = math.atan(y * t / d)
-    if x > 0.0:
-        if d < 0.0:
-            return ArgBranchValue(raw + math.pi, "above")
-        return ArgBranchValue(raw, "below")
-    if d < 0.0:
-        return ArgBranchValue(raw - math.pi, "below")
-    return ArgBranchValue(raw, "above")
+    """Continuous branch value ``atan2(y*t, y^2 + x*(x - t))`` at ``t``."""
+    x, y = z.real, z.imag
+    _check_range(abs(x), y, y, abs(t))
+    return ArgBranchValue(math.atan2(y * t, y * y + x * (x - t)))
 
 
 def phi_derivative(z: complex, t: float) -> float:
-    """Strictly positive derivative of the continuous branch."""
-    x, y = _check_upper(z)
-    d = y * y + x * (x - t)
-    return y * (x * x + y * y) / (d * d + y * y * t * t)
+    """Strictly positive derivative ``y/(y^2 + (t - x)^2)`` of the branch."""
+    x, y = z.real, z.imag
+    _check_range(abs(x), y, y, abs(t))
+    # y/h/h with h = hypot(y, t - x): (t - x)^2 overflows at |t - x| = 2^512
+    h = math.hypot(y, t - x)
+    return y / h / h
 
 
-def _branch_sum(res, ims, weights, ts, radii) -> np.ndarray:
+def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
-    The zeros are ``res + i*ims`` with moduli ``radii``.  Work proceeds in
-    blocks of up to ``NODE_BLOCK`` nodes by as many zeros as keep a block
-    within ``BLOCK_ELEMS`` elements, and blocks of zeros are added in
-    order.  Overflow and 0/0 are left to :func:`phi_sum`'s finiteness
-    check.  A branch correction at a zero with ``|z| > 2|t|`` raises
-    :class:`VerificationError`: the tail bound of :func:`phi_sum` presumes
-    there is none.
+    The zeros are ``res + i*ims``, and every input lies in the range of the
+    module docstring, so no product overflows.  Work proceeds in blocks of
+    up to ``NODE_BLOCK`` nodes by as many zeros as keep a block within
+    ``BLOCK_ELEMS`` elements, and blocks of zeros are added in order.
     """
     acc = np.zeros(ts.size)
     rows = max(1, BLOCK_ELEMS // min(ts.size, NODE_BLOCK))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(0, ts.size, NODE_BLOCK):
-            t = ts[None, j : j + NODE_BLOCK]
-            for i in range(0, res.size, rows):
-                x = res[i : i + rows, None]
-                y = ims[i : i + rows, None]
-                # d = y*y + x*(x - t) and vals = arctan(y*t/d), built in place
-                # so that a block holds two large temporaries; the rounding is
-                # the same
-                d = x - t
-                d *= x
-                d += y * y
-                vals = y * t
-                vals /= d  # d == 0 gives +-pi/2 via arctan(+-inf)
-                np.arctan(vals, out=vals)
-                nonpos = d <= 0.0
-                if nonpos.any():
-                    # indexed: dense block-sized masks raised the scan's peak memory
-                    ii, jj = np.nonzero(nonpos)
-                    if (radii[i + ii] > 2.0 * np.abs(t[0, jj])).any():
-                        raise VerificationError(
-                            "branch correction triggered beyond 2|t|; tail bound invalid"
-                        )
-                    vals[ii, jj] += np.where(
-                        d[ii, jj] < 0.0, np.where(x[ii, 0] > 0.0, math.pi, -math.pi), 0.0
-                    )
-                acc[j : j + NODE_BLOCK] += weights[i : i + rows] @ vals
+    for j in range(0, ts.size, NODE_BLOCK):
+        t = ts[None, j : j + NODE_BLOCK]
+        for i in range(0, res.size, rows):
+            x = res[i : i + rows, None]
+            y = ims[i : i + rows, None]
+            # d = y*y + x*(x - t) and vals = atan2(y*t, d), built in place so
+            # that a block holds two large temporaries
+            d = x - t
+            d *= x
+            d += y * y
+            vals = y * t
+            np.arctan2(vals, d, out=vals)
+            acc[j : j + NODE_BLOCK] += weights[i : i + rows] @ vals
     return acc
 
 
@@ -160,28 +150,31 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
 
     ``t`` is a scalar or an array of nodes; a radius of ``None`` keeps every
     zero, taking ``max(2*max|t| + 1, max|z| + 1)``.  For an omitted zero,
-    ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so no branch
-    correction applies there and ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the
-    omitted terms are therefore bounded by ``2*|t|`` times the truncation
-    remainder of the summability series.  A sum that is not finite (``|z|``
-    near the float range overflows) raises :class:`PreconditionError`.
+    ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so
+    ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the omitted terms are therefore bounded
+    by ``2*|t|`` times the truncation remainder of the summability series.
+    The kept zeros and the nodes must lie in the range of the module
+    docstring, or :class:`PreconditionError` is raised before the sum.
     """
     ts = np.asarray(t, dtype=float)
-    required = 2.0 * float(np.abs(ts).max())
+    t_abs = float(np.abs(ts).max())
     radii = np.hypot(zs.res, zs.ims)
     if truncation_radius is None:
-        truncation_radius = max(required + 1.0, float(radii.max()) + 1.0)
-    elif not truncation_radius > required:
+        truncation_radius = max(2.0 * t_abs + 1.0, float(radii.max()) + 1.0)
+    elif not truncation_radius > 2.0 * t_abs:
         raise TruncationError(
             f"truncation radius {truncation_radius} too small: "
-            f"needs > 2|t| = {required}"
+            f"needs > 2|t| = {2.0 * t_abs}"
         )
     keep = radii <= truncation_radius
-    value = _branch_sum(
-        zs.res[keep], zs.ims[keep], zs.mults[keep], ts.ravel(), radii[keep]
+    res, ims = zs.res[keep], zs.ims[keep]
+    _check_range(
+        float(np.abs(res).max(initial=0.0)),
+        float(ims.min(initial=np.inf)),
+        float(ims.max(initial=-np.inf)),
+        t_abs,
     )
-    if not np.isfinite(value).all():
-        raise PreconditionError("branch sum is not finite; zero coordinates overflow")
+    value = _branch_sum(res, ims, zs.mults[keep], ts.ravel())
     tail = TAIL_CONSTANT * np.abs(ts) * blaschke_tail(zs, truncation_radius)
     if ts.ndim == 0:
         return PhiSumResult(float(value[0]), float(truncation_radius), float(tail))

@@ -13,7 +13,6 @@ from stripzeros import argbranch
 from stripzeros import (
     PreconditionError,
     TruncationError,
-    VerificationError,
     ZeroSet,
     find_growth_window,
     growth_constant,
@@ -42,31 +41,27 @@ def set_kernel_blocks(monkeypatch, blocks):
 
 
 def test_phi_at_branch_point_positive_x():
-    # 13/3 is not a representable float, but the limiting arctan still
-    # returns the exact pi/2 constant
+    # 13/3 is not a representable float, but y^2 + x*(x - t) is so small
+    # there that atan2 still rounds to the pi/2 constant
     v = phi(3 + 2j, 13.0 / 3.0)
     assert v.value == math.pi / 2
-    # at an exactly representable swap point the region is reported too
+    # an exactly representable swap point
     w = phi(1 + 1j, 2.0)
     assert w.value == math.pi / 2
-    assert w.region == "at"
 
 
 def test_phi_at_branch_point_negative_x():
     v = phi(-1 + 1j, -2.0)
     assert v.value == -math.pi / 2
-    assert v.region == "at"
 
 
 def test_phi_below_branch():
     v = phi(3 + 2j, 0.0)
     assert v.value == 0.0
-    assert v.region == "below"
     # below the swap point 13/3 the branch is arctan(2*3 / (13 - 9))
     w = phi(3 + 2j, 3.0)
     assert w.value == pytest.approx(math.atan(1.5))
     assert w.value == pytest.approx(0.98279, abs=1e-5)
-    assert w.region == "below"
     with pytest.raises(PreconditionError):
         phi(1 - 1j, 0.0)
 
@@ -74,7 +69,6 @@ def test_phi_below_branch():
 def test_phi_above_branch_frozen_value():
     # pi + arctan(-20/17), cross-checked by integrating the derivative
     v = phi(3 + 2j, 10.0)
-    assert v.region == "above"
     assert v.value == pytest.approx(2.2752903910371143, abs=1e-12)
     swept, err = quad(lambda t: phi_derivative(3 + 2j, t), 0.0, 10.0, limit=200)
     assert v.value == pytest.approx(swept, abs=max(1e-9, 10 * err))
@@ -179,6 +173,11 @@ def test_phi_x_zero_is_odd_arctan():
 def test_phi_derivative_formula_points():
     assert phi_derivative(3 + 2j, 3.0) == pytest.approx(0.5)
     assert phi_derivative(1j, 0.0) == pytest.approx(1.0)
+    # inside the range, although y*(x^2 + y^2) would overflow
+    assert phi_derivative(1e150 + 1e150j, 0.0) == pytest.approx(5e-151, rel=1e-15)
+    # the corner of the range, where (t - x)^2 = 2^1024 is not a float
+    big = argbranch.RANGE_MAX
+    assert phi_derivative(complex(big, big), -big) == pytest.approx(1 / (5 * big), rel=1e-15)
     rng = np.random.default_rng(3)
     for _ in range(100):
         x, y = rng.uniform(-5, 5), rng.uniform(0.2, 3)
@@ -198,6 +197,81 @@ def test_phi_derivative_matches_finite_differences():
             continue
         fd = (phi(z, t + step).value - phi(z, t - step).value) / (2 * step)
         assert fd == pytest.approx(phi_derivative(z, t), rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the input range
+
+
+BIG, TINY = argbranch.RANGE_MAX, argbranch.RANGE_MIN_IM
+
+
+def test_phi_rejects_inputs_outside_the_range():
+    # inside the range: the edges themselves
+    assert phi(complex(BIG, TINY), BIG).value == pytest.approx(math.pi / 2)
+    # atan(2*BIG/TINY) - atan(BIG/TINY), a subnormal value
+    assert phi(complex(-BIG, TINY), BIG).value == pytest.approx(TINY / (2 * BIG), rel=1e-12)
+    assert phi(complex(0.0, TINY), 0.0).value == 0.0
+    bad = [
+        (1 + 1e308j, 2.0),  # y*y and y*t overflow: atan2 would give nan
+        (1e-200 + 1e-200j, 1e-200),  # y*y underflows: atan2 would give pi/2, not pi/4
+        (complex(math.nextafter(BIG, math.inf), 1.0), 0.0),
+        (complex(0.0, math.nextafter(BIG, math.inf)), 0.0),
+        (complex(0.0, math.nextafter(TINY, 0.0)), 0.0),
+        (complex(0.0, 1.0), -math.nextafter(BIG, math.inf)),
+        (complex(math.nan, 1.0), 0.0),
+        (complex(0.0, math.nan), 0.0),
+        (complex(0.0, 1.0), math.nan),
+        (complex(0.0, math.inf), 0.0),
+        (complex(0.0, 1.0), math.inf),
+        (1 - 1j, 0.0),
+    ]
+    for z, t in bad:
+        for f in (phi, phi_derivative):
+            with pytest.raises(PreconditionError, match="outside the exact range"):
+                f(z, t)
+    with pytest.raises(PreconditionError, match="outside the exact range"):
+        phi_sum(ZeroSet([0.0], [1.0]), np.array([0.0, math.nan]), None)
+    with pytest.raises(PreconditionError, match="outside the exact range"):
+        phi_sum(ZeroSet([0.0], [1.0]), np.array([0.0, math.inf]), None)
+
+
+def _phi_oracle(x, y, t):
+    # independent of atan2; at 60 digits the two near-pi/2 terms lose the
+    # answer to cancellation once |x|/y is about 1e38, at 700 they do not
+    with mpmath.workdps(700):
+        x, y, t = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(t)
+        return float(mpmath.atan((t - x) / y) + mpmath.atan(x / y))
+
+
+# magnitudes log-uniform from 2^-520 up to the range's 2^511
+_magnitude = st.builds(
+    math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-520, 510)
+)
+_signed = st.builds(math.copysign, _magnitude, st.sampled_from([-1.0, 1.0]))
+
+
+@settings(deadline=None)
+@given(
+    x=_signed | st.sampled_from([0.0, BIG, -BIG]),
+    y=_magnitude.filter(lambda y: y >= TINY) | st.sampled_from([TINY, BIG]),
+    data=st.data(),
+)
+def test_phi_matches_mpmath_oracle_across_the_range_property(x, y, data):
+    # t: free, 0, the zero's real part and its float swap point, each with
+    # its ulp neighbours, and the range's edges
+    anchors = [data.draw(_signed), 0.0, x, BIG, -BIG]
+    if x != 0.0:
+        anchors.append((x * x + y * y) / x)
+    near = {
+        s
+        for a in anchors
+        for s in (a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf))
+        if abs(s) <= BIG
+    }
+    t = data.draw(st.sampled_from(sorted(near)))
+    got = phi(complex(x, y), t).value
+    assert abs(got - _phi_oracle(x, y, t)) <= 2 * np.finfo(float).eps, (x, y, t)
 
 
 # ----------------------------------------------------------------------
@@ -303,24 +377,24 @@ def test_phi_sum_truncation_radius_gate():
 
 
 def test_phi_sum_guards_the_tail_premise(monkeypatch):
-    # |z|^2 underflows to 0, so the zero looks branch-corrected at t = 0
-    # although |z| > 2|t|; the tail bound would then be unfounded.  Sorted
-    # by re it is the second zero, so one-zero blocks put it in block 2
+    # y^2 underflows to 0 for the zero 1e-200 + 1e-200i, so y^2 + x*(x - t)
+    # could no longer show |z|^2 - x*t > 0 for |z| > 2|t|; its imaginary part
+    # is below 2^-511, and the range rule rejects it before any block runs
     zs = ZeroSet([1e-200, 0.0], [1e-200, 1.0])
     for blocks in KERNEL_BLOCKS:
         with monkeypatch.context() as m:
             set_kernel_blocks(m, blocks)
             for t in (0.0, np.array([1.0, 0.0])):
-                with pytest.raises(VerificationError, match="beyond 2"):
+                with pytest.raises(PreconditionError, match="outside the exact range"):
                     phi_sum(zs, t, 10.0)
 
 
 def test_phi_sum_rejects_a_nonfinite_sum():
-    # y*y and y*t overflow, and inf/inf is nan; the error is raised without
-    # a numpy warning
+    # y*y and y*t would overflow; Im z > 2^511 is rejected before the kernel
+    # runs, so no numpy warning is raised
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PreconditionError, match="not finite"):
+        with pytest.raises(PreconditionError, match="outside the exact range"):
             phi_sum(ZeroSet([1.0], [1e308]), np.array([0.0, 2.0]), None)
 
 

@@ -77,14 +77,18 @@ def test_phi_sum_with_zero_file(tmp_path, capsys):
 
 
 def test_phi_nonfinite_branch_sum_exits_3(capsys):
-    # y*y and y*t overflow, and inf/inf used to print the row 2.0,nan; the
-    # failure is the exit-3 message alone, with no numpy warning before it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, "phi", "--zero", "1,1e308", "--grid", "0:1:3")
-    assert code == 3
-    assert out == ""
-    assert "branch sum is not finite" in err
+    # rows: y*y and y*t would overflow, and inf/inf used to print the row
+    # 2.0,nan; y*y underflows to 0, which used to end in a VerificationError
+    # traceback with exit 1.  Both are outside the range, and the failure is
+    # the one-line exit-3 message alone, with no numpy warning before it
+    for zero, grid in (("1,1e308", "0:1:3"), ("1e-200,1e-200", "0:1e-200:3")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "phi", f"--zero={zero}", f"--grid={grid}")
+        assert code == 3
+        assert out == ""
+        assert "outside the exact range" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_phi_zero_truncation_is_not_the_default(tmp_path, capsys):

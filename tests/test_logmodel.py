@@ -9,8 +9,8 @@ from stripzeros import (
     HSWitness,
     HelsonSzegoBoundError,
     HilbertLogModel,
+    PreconditionError,
     SampledFunction,
-    VerificationError,
     ZeroSet,
     cluster_model,
     compose_helson_szego,
@@ -92,12 +92,11 @@ def test_hlf_samples_match_pointwise_evaluation():
 
 
 def test_hlf_samples_guard_the_tail_premise():
-    # the zero set on which phi_sum refuses an unfounded tail bound; the
-    # samples take the same truncation and must refuse it too
+    # the zero set that phi_sum rejects by the range rule (Im z < 2^-511);
+    # the samples take the same truncation and must reject it too
     model = HilbertLogModel(1.0, ZeroSet([1e-200, 0.0], [1e-200, 1.0]))
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(VerificationError, match="beyond 2"):
-            hlf_samples(model, template(-1.0, 0.5, 5))
+    with pytest.raises(PreconditionError, match="outside the exact range"):
+        hlf_samples(model, template(-1.0, 0.5, 5))
 
 
 # ----------------------------------------------------------------------
