@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, read_text, write_csv
+from ._numutil import evaluate_on_grid, read_rows, read_text, write_csv
 from .errors import InputFormatError
 
 __all__ = ["SampledFunction"]
@@ -95,8 +94,8 @@ class SampledFunction:
         column header) may hold a ``# t0=.. h=.. n=..`` header that pins the
         grid; without one the grid runs from the first to the last ``t``.
         Every ``t`` must sit within ``1e-6*h`` of its grid node and the row
-        count must match ``n``.  Rows are parsed by numpy's C reader, whose
-        decimal conversion is correctly rounded, like ``float``.
+        count must match ``n``.  Rows are parsed by the one CSV reader,
+        :func:`read_rows`.
         """
         text = read_text(source)
         lines = text.split("\n")
@@ -110,19 +109,12 @@ class SampledFunction:
             raise InputFormatError(
                 f"line {lineno}: grid header after the first data row"
             )
-        data = lines[first:]
-        try:
-            rows = _rows(data)
-        except ValueError:
-            k = first + _first_bad_line(data)
-            raise InputFormatError(
-                f"line {k + 1}: expected a t,value row of two numbers, got {lines[k]!r}"
-            ) from None
-        ts = rows[:, 0]
+        rows = read_rows(lines[first:], _ROW, "a t,value row of two numbers", lines, first)
+        ts = rows["t"]
         if t0 is None:
             t0 = ts[0]
             h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
-        f = cls(float(t0), float(h), rows[:, 1].copy())
+        f = cls(float(t0), float(h), rows["value"].copy())
         if n is not None and n != f.n:
             raise InputFormatError(f"header says n={n} but {f.n} rows were read")
         off = np.flatnonzero(~(np.abs(ts - f.grid) <= 1e-6 * f.h))
@@ -135,6 +127,7 @@ class SampledFunction:
         return f
 
 
+_ROW = np.dtype([("t", float), ("value", float)])
 # a grid key (t0=, h= or n=) in a comment below the first data row
 _LATE_HEADER = re.compile(r"#[^\n]*?(?<=[#\s])(?:t0|h|n)=")
 
@@ -175,29 +168,3 @@ def _read_header(lines: list[str]):
             return t0, h, n, i
     return t0, h, n, len(lines)
 
-
-def _rows(lines) -> np.ndarray:
-    """``t,value`` rows of a list of lines, as an (m, 2) array."""
-    rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    if rows.size and rows.shape[1] != 2:
-        raise ValueError(f"expected 2 columns, got {rows.shape[1]}")
-    return rows
-
-
-def _first_bad_line(lines: list[str]) -> int:
-    """Index of the first line that :func:`_rows` rejects.
-
-    Only called once the whole block failed.  Bisection keeps a failing
-    range, so the cost is about two parses of the block.
-    """
-    lo, hi = 0, len(lines)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a comment-only half
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _rows(lines[lo:mid])
-                lo = mid
-            except ValueError:
-                hi = mid
-    return lo

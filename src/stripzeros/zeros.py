@@ -18,8 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, read_text, write_csv
+from ._numutil import evaluate_on_grid, read_rows, read_text, write_csv
 from .errors import InputFormatError, PreconditionError
+
+_ROW = np.dtype([("re", float), ("im", float), ("mult", np.int64)])  # a CSV row
 
 __all__ = [
     "ZeroSet",
@@ -161,10 +163,10 @@ class CartwrightEstimate:
 
 
 def load_zero_set(source) -> ZeroSet:
-    """Read a zero set from CSV (``re,im[,mult]`` lines) or a JSON array.
+    """Read a zero set from CSV (``re,im[,mult]`` rows) or a JSON array.
 
-    ``source`` is a path or a text stream.  ``#`` lines and blank lines are
-    ignored in CSV.  JSON input is an array of objects
+    ``source`` is a path or a text stream.  CSV goes through the one CSV
+    reader, :func:`read_rows`.  JSON input is an array of objects
     ``{"re": ..., "im": ..., "mult": ...}`` (``mult`` optional, an integer).
     A row that :class:`ZeroSet` rejects is reported by its line (CSV) or
     record (JSON) number.
@@ -173,13 +175,13 @@ def load_zero_set(source) -> ZeroSet:
     stripped = text.lstrip()
     if not stripped:
         raise InputFormatError("empty zero-set input")
-    res, ims, mults, rows = [], [], [], []  # rows: line or record numbers
     if stripped[0] == "[":
         unit = "record"
         try:
             records = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"bad JSON: {exc}") from None
+        res, ims, mults = [], [], []
         for i, rec in enumerate(records):
             try:
                 res.append(float(rec["re"]))
@@ -190,31 +192,28 @@ def load_zero_set(source) -> ZeroSet:
             if isinstance(mult, bool) or not isinstance(mult, (int, float)):
                 raise InputFormatError(f"record {i}: mult must be an integer, got {mult!r}")
             mults.append(mult)
-            rows.append(i)
+        rows = range(len(res))  # record numbers
     else:
         unit = "line"
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) not in (2, 3):
-                raise InputFormatError(
-                    f"line {lineno}: expected 're,im[,mult]', got {line!r}"
-                )
-            try:
-                res.append(float(parts[0]))
-                ims.append(float(parts[1]))
-                mults.append(int(parts[2]) if len(parts) == 3 and parts[2] else 1)
-            except ValueError as exc:
-                raise InputFormatError(f"line {lineno}: {exc}") from None
-            rows.append(lineno)
+        lines = text.splitlines()
+        data = [_with_mult(line) for line in lines]
+        table = read_rows(data, _ROW, "a re,im[,mult] row of numbers", lines)
+        res, ims, mults = table["re"], table["im"], table["mult"]
+        rows = [i for i, row in enumerate(data, start=1) if row]  # line numbers
     if not rows:
         raise InputFormatError("empty zero-set input")
     try:
         return ZeroSet(res, ims, mults)
     except _BadZero as exc:
         raise InputFormatError(f"{unit} {rows[exc.row]}: {exc.reason}") from None
+
+
+def _with_mult(line: str) -> str:
+    """``line`` without comment and outer spaces; ``re,im`` and ``re,im,`` get mult 1."""
+    row = line.split("#", 1)[0].strip()
+    if row.count(",") == 1:
+        return row + ",1"
+    return row + "1" if row.endswith(",") and row.count(",") == 2 else row
 
 
 def save_zero_set(zs: ZeroSet, target) -> None:
@@ -345,16 +344,15 @@ MAX_SKIP_FRACTION = 0.01
 
 def blaschke_sum(zs: ZeroSet) -> float:
     """``sum mult * im / |z|^2`` over the whole set."""
-    return float(np.sum(zs.mults * zs.ims / (zs.res**2 + zs.ims**2)))
+    return blaschke_tail(zs, 0.0)
 
 
 def blaschke_tail(zs: ZeroSet, radius: float) -> float:
     """The same sum restricted to ``|z| > radius`` (truncation remainder)."""
-    mask = np.hypot(zs.res, zs.ims) > radius
-    if not mask.any():
-        return 0.0
-    re, im, mu = zs.res[mask], zs.ims[mask], zs.mults[mask]
-    return float(np.sum(mu * im / (re**2 + im**2)))
+    h = np.hypot(zs.res, zs.ims)  # im/h/h: re**2 overflows beyond |re| ~ 1.3e154
+    mask = h > radius
+    h = h[mask]
+    return float(np.sum(zs.ims[mask] / h / h * zs.mults[mask]))
 
 
 def cartwright_integral_estimate(

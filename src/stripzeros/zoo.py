@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import read_text, write_csv
+from ._numutil import read_rows, read_text, write_csv
 from .errors import InputFormatError, PreconditionError
 from .zeros import ZeroSet, upper_density_profile
 
@@ -278,14 +278,20 @@ def write_delta_csv(model: ZooModel, target) -> None:
     )
 
 
-def _power_of_three(value: int, lineno: int) -> int:
-    k = 0
-    v = value
-    while v > 1 and v % 3 == 0:
-        v //= 3
-        k += 1
-    if v != 1:
-        raise InputFormatError(f"line {lineno}: re_base {value} is not a power of 3")
+# re_base stays text, for an exact int: 3^k passes int64
+_ROW = np.dtype([("re_base", object), ("delta_log3", float), ("im", float),
+                 ("mult", np.int64)])
+
+
+def _power_of_three(text: str, lineno: int) -> int:
+    """The k with ``3^k`` equal to ``text``, read as numpy reads an integer."""
+    text = text.strip()
+    digits = text.removeprefix("+")
+    # 4000 digits stay below int()'s limit and far beyond any float 3^k
+    v = int(digits) if digits.isascii() and digits.isdigit() and len(digits) < 4000 else 0
+    k = round(math.log(v, 3)) if v else 0
+    if 3**k != v:
+        raise InputFormatError(f"line {lineno}: re_base {text} is not a power of 3")
     return k
 
 
@@ -298,34 +304,28 @@ def load_delta_csv(source) -> ZooModel:
     lines = read_text(source).splitlines()
     if not lines or "delta-log3" not in lines[0]:
         raise InputFormatError("missing the delta-log3 format flag line")
+    # the flag line and the re_base column headers hold no row
+    data = [""] + [line.split("#", 1)[0].strip() for line in lines[1:]]
+    data = ["" if row.startswith("re_base") else row for row in data]
+    table = read_rows(data, _ROW, "a re_base,delta_log3,im,mult row", lines)
+    linenos = [i for i, row in enumerate(data, start=1) if row]
+    if not linenos:
+        raise InputFormatError("no points in delta CSV")
+    rows = table.tolist()
+    height = rows[0][2]
     ks: list[int] = []
-    delta_log3: list[float] = []
-    height = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("re_base"):
-            continue
-        try:
-            base_s, dlog_s, im_s, mult_s = line.split(",")
-            k = _power_of_three(int(base_s), lineno)
-            dl, im, mult = float(dlog_s), float(im_s), int(mult_s)
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: {exc}") from None
+    for lineno, (base, dl, im, mult) in zip(linenos, rows):
+        k = _power_of_three(base, lineno)
         if not dl < math.inf:
             raise InputFormatError(f"line {lineno}: delta_log3 must be below inf, got {dl}")
         if mult != 1:
             raise InputFormatError(f"line {lineno}: mult must be 1, got {mult}")
         if not 0 <= im < math.inf:
             raise InputFormatError(f"line {lineno}: im must be finite and >= 0, got {im}")
-        if height is None:
-            height = im
-        elif im != height:
+        if im != height:
             raise InputFormatError(f"line {lineno}: im {im!r} differs from the first row's")
         ks.append(k)
-        delta_log3.append(dl)
-    if not ks:
-        raise InputFormatError("no points in delta CSV")
     try:
-        return _offset_form(ks, delta_log3, "example2-import", height, None)
+        return _offset_form(ks, table["delta_log3"].tolist(), "example2-import", height, None)
     except OverflowError:
         raise InputFormatError("an offset-form zero lies beyond the float range") from None

@@ -101,6 +101,20 @@ def test_phi_zero_truncation_is_not_the_default(tmp_path, capsys):
     assert "truncation radius 0.0 too small" in err
 
 
+def test_phi_tail_of_a_far_zero_prints_no_warning(tmp_path, capsys):
+    # the tail's re**2 overflowed for the zero at 1e200 and printed numpy's warning
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0,1\n1e200,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "phi", "--zeros", str(zeros), "--grid", "0:1:3", "--truncation", "10"
+        )
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 4
+
+
 def test_hilbert_constant_is_zero_column(tmp_path, capsys):
     out_path = tmp_path / "h.csv"
     code, _, _ = run(

@@ -1,11 +1,12 @@
-"""The one CSV writer behind every export."""
+"""The one CSV reader and the one CSV writer behind every import and export."""
 
 import io
 
 import numpy as np
 import pytest
 
-from stripzeros._numutil import CSV_BLOCK, write_csv
+from stripzeros import InputFormatError
+from stripzeros._numutil import CSV_BLOCK, read_rows, write_csv
 
 
 def _written(header, *columns, footer=""):
@@ -48,3 +49,31 @@ def test_numbers_are_plain_decimals():
         f"7,1e+16,{3**41},1e-05\n"
     )
     assert "np." not in text
+
+
+ROW = np.dtype([("x", float), ("k", np.int64)])
+
+
+@pytest.mark.parametrize("bad", [0, 1, 499, 500, 998, 999])
+def test_read_rows_reports_the_first_bad_line(bad):
+    lines = [f"{i}.5,{i}" for i in range(1000)]
+    for k in (bad, 999):  # a second bad row after the first must not be the one named
+        lines[k] = f"{k},x"
+    data = ["", *lines]  # the file's first line is no row
+    message = f"^line {bad + 2}: expected an x,k row, got '{bad},x'$"
+    with pytest.raises(InputFormatError, match=message):
+        read_rows(data, ROW, "an x,k row", ["head", *lines])
+    with pytest.raises(InputFormatError, match=f"^line {bad + 2}: "):
+        read_rows(lines, ROW, "an x,k row", ["head", *lines], first=1)
+
+
+def test_read_rows_of_no_rows_is_empty_without_a_warning():
+    # loadtxt warns "input contained no data"; the reader leaves the verdict to its caller
+    data = ["", "# comment", "#"]
+    rows = read_rows(data, ROW, "an x,k row", data)
+    assert rows.shape == (0,) and rows.dtype == ROW
+    data = ["1.5,2 # c", "", "-0.0, 3"]
+    assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]
+    # spaces before a comment leave a line of spaces, which is a bad row
+    with pytest.raises(InputFormatError, match="^line 2: "):
+        read_rows(["1.5,2", "  # c"], ROW, "an x,k row", ["1.5,2", "  # c"])

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,34 @@ def test_load_rejects_bad_zero_with_its_line(row):
         load_zero_set(io.StringIO(f"0.5,1\n# comment\n{row}\n0.7,1\n"))
 
 
+# one row grammar: (file text, its (re, im, mult) rows, or the start of the error)
+CSV_GRAMMAR = [
+    ("1,2\n3,4,5\n", [(1.0, 2.0, 1), (3.0, 4.0, 5)]),
+    ("1,2,\n3,4, \n", [(1.0, 2.0, 1), (3.0, 4.0, 1)]),
+    ("1,2\n   \n\t\n3,4\n", [(1.0, 2.0, 1), (3.0, 4.0, 1)]),
+    ("  # indented comment\n1,2\n", [(1.0, 2.0, 1)]),
+    ("1,2, 3\n", [(1.0, 2.0, 3)]),
+    (" 1 , 2 ,3 # a trailing comment\n", [(1.0, 2.0, 3)]),
+    ("1,2,3.0\n", "line 1: expected a re,im[,mult] row of numbers, got '1,2,3.0'"),
+    ("1,2,1e3\n", "line 1: expected a re,im[,mult] row of numbers, got '1,2,1e3'"),
+    ("1,2\n\n# comment\n  1,x,2\n", "line 4: expected a re,im[,mult] row of numbers, "
+                                     "got '  1,x,2'"),
+    ("0.5,1\n\n# c\n1_0,1\n", "line 4: expected"),
+    ("0.5,1\n1,2,3,4\n", "line 2: expected"),
+    ("0.5,1\n1,,\n", "line 2: expected"),
+    ("0.5,1\n\n# c\n1,2,0\n", "line 4: mult must be an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("text, expected", CSV_GRAMMAR)
+def test_csv_row_grammar(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(InputFormatError, match="^" + re.escape(expected)):
+            load_zero_set(io.StringIO(text))
+    else:
+        assert _triples(load_zero_set(io.StringIO(text))) == expected
+
+
 @pytest.mark.parametrize("mult", ["2.5", "true", '"3"', "0", "null"])
 def test_load_json_rejects_bad_mult(mult):
     text = f'[{{"re": 0, "im": 1}}, {{"re": 1, "im": 1, "mult": {mult}}}]'
@@ -191,6 +220,62 @@ def test_round_trip_is_bit_exact_property(rows, fmt):
     zs = ZeroSet(*_columns(rows))
     back = load_zero_set(io.StringIO(_dump(zs, fmt)))
     for a, b in ((zs.res, back.res), (zs.ims, back.ims), (zs.mults, back.mults)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _per_line_oracle(text):
+    """Columns of a zero-set CSV, parsed one line at a time with ``float``/``int``.
+
+    The hand-written loop the numpy reader replaced; an error names its line.
+    """
+    res, ims, mults = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"line {lineno}:")
+        try:
+            res.append(float(parts[0]))
+            ims.append(float(parts[1]))
+            mults.append(int(parts[2]) if len(parts) == 3 and parts[2] else 1)
+        except ValueError:
+            raise ValueError(f"line {lineno}:") from None
+    return res, ims, mults
+
+
+_number = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", " {!r} "]),
+).map(lambda vf: vf[1].format(vf[0]))
+_im = st.floats(min_value=1e-300, max_value=1e300).map(repr)
+_line = st.one_of(
+    st.tuples(_number, _im).map(",".join),  # re,im
+    st.tuples(_number, _im).map(lambda r: ",".join(r) + ","),  # re,im, (mult 1)
+    st.tuples(_number, _im, st.integers(1, 9).map(str)).map(",".join),
+    st.sampled_from(["", "   ", "# comment", "  # indented, 1,2", "#1,2,3"]),
+    st.sampled_from(["1,2,3.0", "x,1", "1,2,3,4", "1,2,1e3"]),  # rejected by both
+)
+
+
+@settings(deadline=None)
+@given(lines=st.lists(_line, min_size=1, max_size=40))
+def test_csv_matches_per_line_oracle(lines):
+    text = "\n".join(lines) + "\n"
+    try:
+        res, ims, mults = _per_line_oracle(text)
+    except ValueError as exc:
+        with pytest.raises(InputFormatError, match="^" + str(exc)):
+            load_zero_set(io.StringIO(text))
+        return
+    if not res:
+        with pytest.raises(InputFormatError, match="empty zero-set input"):
+            load_zero_set(io.StringIO(text))
+        return
+    zs = load_zero_set(io.StringIO(text))
+    expected = ZeroSet(res, ims, mults)
+    for a, b in ((zs.res, expected.res), (zs.ims, expected.ims), (zs.mults, expected.mults)):
         assert a.tobytes() == b.tobytes()
 
 
@@ -441,6 +526,14 @@ def test_blaschke_subset_bound_and_tail():
         assert blaschke_tail(zs, radius) == pytest.approx(
             blaschke_sum(zs) - blaschke_sum(inner)
         )
+
+
+def test_blaschke_terms_do_not_overflow():
+    # re**2 overflowed to inf for |re| beyond ~1.3e154, and the tail read 0.0
+    zs = ZeroSet([1e200], [1e300])
+    assert blaschke_tail(zs, 1.0) == pytest.approx(1e-300, rel=1e-15)
+    assert blaschke_sum(zs) == blaschke_tail(zs, 1.0)
+    assert blaschke_tail(ZeroSet([0.0, 1e200], [1.0, 1.0]), 10.0) == 0.0  # 1e-400 underflows
 
 
 # ----------------------------------------------------------------------

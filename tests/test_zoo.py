@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -290,6 +291,29 @@ def test_delta_csv_rejects_unbounded_offsets():
             load_delta_csv(_delta_csv(f"9,{dl},1.0,1\n"))
     with pytest.raises(InputFormatError, match="beyond the float range"):
         load_delta_csv(_delta_csv("9,1000,1.0,1\n"))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["9,0.5,1.0,1\n", "10,0.5,1.0,1\n"], "line 4: re_base 10 is not a power of 3"),
+        (["9,0.5,1.0,1\n", "abc,0.5,1.0,1\n"], "line 4: re_base abc is not a power of 3"),
+        (["2_7,0.5,1.0,1\n"], "line 3: re_base 2_7 is not a power of 3"),
+        (["\u0669,0.5,1.0,1\n"], "line 3: re_base \u0669 is not a power of 3"),
+        (["9,0.5,1.0\n"], "line 3: expected a re_base,delta_log3,im,mult row, got '9,0.5,1.0'"),
+        (["9,0.5,1.0,1.0\n"], "line 3: expected a re_base,delta_log3,im,mult row"),
+        (["\n", "# c\n", "re_base,delta_log3,im,mult\n", "  9,0.5,1.0,1 # x\n",
+          "27,1_0,1.0,1\n"], "line 7: expected a re_base,delta_log3,im,mult row"),
+        (["\n", "# c\n", "9,0.5,1.0,1\n", "27,0.5,2.0,1 # x\n"],
+         "line 6: im 2.0 differs from the first row's"),
+        (["# only a comment\n"], "no points in delta CSV"),
+    ],
+    ids=["not-a-power", "not-a-number", "underscore", "non-ascii", "three-fields",
+         "float-mult", "after-comments", "differs-after-comments", "no-rows"],
+)
+def test_delta_csv_reports_file_lines(rows, message):
+    with pytest.raises(InputFormatError, match="^" + re.escape(message)):
+        load_delta_csv(_delta_csv(*rows))
 
 
 def test_delta_csv_missing_path(tmp_path):
