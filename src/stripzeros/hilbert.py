@@ -11,25 +11,26 @@ written to keep constants out of the way: ``H(1) = 0`` identically, since
 the kernel has antiderivative ``log(sqrt(t^2+1)/|x-t|)`` vanishing at both
 ends.
 
-``hilbert_transform`` is an adaptive-free quadrature for black-box bounded
-evaluators: the singularity is removed by odd-part cancellation
-``f(x-s) - f(x+s)`` near ``x``, the far field uses the combined kernel
-``(1+tx)/((x-t)(t^2+1))`` (which decays like 1/t^2) on panels with a fixed
-node budget per decade of distance, and the leftover tails beyond the
-window are integrated in closed form with ``f`` frozen at its window-edge
-values.
+Both compute one model exactly: the transform of the piecewise-linear
+interpolant of ``f`` on a mesh, continued by its end values as constants.
+Per linear cell the regularization term integrates in closed form (one
+helper serves both), and the constant tails have closed forms.  Only the
+mesh differs.
 
-``hilbert_transform_sampled`` treats a :class:`SampledFunction` as its
-linear interpolant, constant beyond the grid, and evaluates the transform
-of that model exactly: the singular part of the transform of a unit hat at
-integer node offset ``m`` is the second difference ``(m+1)log|m+1| +
-(m-1)log|m-1| - 2m log|m|``, so the grid part is one discrete convolution;
-the regularization term is x-independent and integrates in closed form per
-cell, and the constant tails again have closed forms.  The convolution is
+``hilbert_transform`` samples a black-box evaluator once, on a mesh graded
+geometrically around ``x`` (``NODES_PER_DECADE`` per decade of distance,
+from ``EXCISION`` out to the window edges), with nodes either side of each
+known breakpoint.  A cell [a, b] with ``f - f(x)`` linear adds
+``p(x) log1p((b-a)/(x-b))`` minus its change of ``f`` to the singular
+part, where p is the cell's line; the two cells meeting at ``x`` have
+``p(x) = 0``, which is the principal value.
+
+``hilbert_transform_sampled`` takes the uniform grid of a
+:class:`SampledFunction`: the singular part of the transform of a unit hat
+at integer node offset ``m`` is the second difference ``(m+1)log|m+1| +
+(m-1)log|m-1| - 2m log|m|``, so the grid part is one discrete convolution,
 one cyclic real-FFT product of 5-smooth length m >= 2n-1, which cannot
-alias into the n outputs kept.  This agrees with applying the evaluator
-version at every node but is exact for the model and costs O(n log n) for
-the whole grid.
+alias into the n outputs kept.  It costs O(n log n) for the whole grid.
 """
 
 from __future__ import annotations
@@ -47,64 +48,44 @@ from .sampled import SampledFunction
 __all__ = ["hilbert_transform", "hilbert_transform_sampled"]
 
 DEFAULT_WINDOW = 1e4
-# quadrature geometry of hilbert_transform: EXCISION < LOCAL_RADIUS < 100,
-# the narrowest window it accepts
+# mesh of hilbert_transform: nodes at x and x +- EXCISION/2, then a geometric
+# mesh from EXCISION out to the window edges
 EXCISION = 1e-4
-LOCAL_RADIUS = 1.0
 NODES_PER_DECADE = 4096
 
 
-def _checked_eval(f: Callable, xs: np.ndarray) -> np.ndarray:
-    vals = evaluate_on_grid(f, xs)
-    if not np.isfinite(vals).all():
-        bad = xs[~np.isfinite(vals)][0]
-        raise PreconditionError(f"nonfinite sample at t={bad!r}")
-    return vals
+def _regularization(ts: np.ndarray, v: np.ndarray, slope: np.ndarray) -> float:
+    """``integral of P(t) * t/(1+t^2)`` for the linear interpolant P of ``v`` on ``ts``.
 
-
-def _panel_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    n_nodes: int,
-    splits: Sequence[float],
-) -> float:
-    """Composite trapezoid over [lo, hi], panels split at known kinks.
-
-    Panel endpoints that are splits get nudged inward so one-sided limits
-    of a discontinuous integrand are sampled, not the ambiguous point value.
+    Exact per cell with antiderivatives (1/2)log(1+t^2) and t - arctan t;
+    ``slope`` is the per-cell slope of P.
     """
-    cuts = [s for s in splits if lo < s < hi]
-    bounds = [lo] + sorted(cuts) + [hi]
-    total = 0.0
-    width = hi - lo
-    for p, q in zip(bounds, bounds[1:]):
-        m = max(16, int(round(n_nodes * (q - p) / width))) + 1
-        xs = np.linspace(p, q, m)
-        nudge = (q - p) * 1e-9
-        if p in cuts:
-            xs[0] = p + nudge
-        if q in cuts:
-            xs[-1] = q - nudge
-        total += float(np.trapezoid(g(xs), xs))
-    return total
+    intercept = v[:-1] - slope * ts[:-1]
+    g1 = 0.5 * np.log1p(ts * ts)
+    g2 = ts - np.arctan(ts)
+    return float(np.sum(intercept * np.diff(g1) + slope * np.diff(g2)))
 
 
-def _decade_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    nodes_per_decade: int,
-    splits: Sequence[float],
-) -> float:
-    """Sum of panel integrals over decades [lo*10^k, lo*10^(k+1)] up to hi."""
-    total = 0.0
-    edge = lo
-    while edge < hi:
-        nxt = min(edge * 10.0, hi)
-        total += _panel_integral(g, edge, nxt, nodes_per_decade, splits)
-        edge = nxt
-    return total
+def _graded(dist: float) -> np.ndarray:
+    """Distances from ``EXCISION`` up to ``dist`` (excluded), ``NODES_PER_DECADE`` a decade."""
+    n = math.ceil(NODES_PER_DECADE * math.log10(dist / EXCISION)) + 1
+    return np.geomspace(EXCISION, dist, n)[:-1]
+
+
+def _cell_sum(ts: np.ndarray, g: np.ndarray, x: float) -> float:
+    """pi times the transform at ``x`` of the interpolant of ``g`` on ``ts``, 0 outside.
+
+    ``x`` is a node and ``g`` vanishes there; per cell as in the module notes.
+    """
+    dt = np.diff(ts)
+    slope = np.diff(g) / dt
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(dt / (x - ts[1:]))
+    c = int(np.searchsorted(ts, x))
+    logs[c - 1 : c + 1] = 0.0
+    at_x = g[:-1] + slope * (x - ts[:-1])
+    # the s*(b-a) terms telescope to g at the ends
+    return float(at_x @ logs) - (g[-1] - g[0]) + _regularization(ts, g, slope)
 
 
 def hilbert_transform(
@@ -116,89 +97,50 @@ def hilbert_transform(
 ) -> float:
     """Transform of a bounded evaluator at one point.
 
-    ``f`` must be defined on ``[-window, window]``;  beyond the window it
-    is taken constant at ``f(+-window)`` and those tails are integrated in
-    closed form.  ``breakpoints`` lists known discontinuities or kinks of
-    ``f`` so quadrature panels can be aligned with them (e.g. the edges of
-    an indicator function); without them accuracy degrades to first order
-    at the jumps.
+    ``f`` is called once, on the array of mesh nodes in
+    ``[-window, window]``, and the transform of its linear interpolant,
+    constant beyond the window, is returned exactly.  ``breakpoints`` lists
+    known discontinuities or kinks of ``f``; each gets nodes just either
+    side, so the interpolant follows a jump there (e.g. the edges of an
+    indicator function).  A jump at ``x`` itself is reported by a
+    ``UserWarning``: the result then depends on ``EXCISION``.
     """
+    if not (math.isfinite(x + window) and math.isfinite(window - x)):
+        raise PreconditionError(f"x={x} and window {window} must give a finite mesh")
     if not window >= max(10.0 * abs(x), 100.0):
         raise PreconditionError(
             f"window {window} too small at x={x}: needs >= {max(10.0 * abs(x), 100.0)}"
         )
+    b = np.asarray(breakpoints, dtype=float)
+    nudge = 1e-9 * np.maximum(np.abs(b), 1.0)
+    knots = np.concatenate((b - nudge, b + nudge))
+    knots = knots[(np.abs(knots - x) > EXCISION) & (np.abs(knots) < window)]
+    ts = np.unique(np.concatenate((
+        [-window, x - EXCISION / 2.0, x, x + EXCISION / 2.0, window],
+        x - _graded(x + window), x + _graded(window - x), knots,
+    )))
 
-    # H(f) = H(f - f(x)): constants transform to zero exactly, so work with
-    # the shifted samples and the identity costs nothing but removes the
-    # constant part from every quadrature error term.
-    center = float(_checked_eval(f, np.array([float(x)]))[0])
+    vals = evaluate_on_grid(f, ts)
+    if not np.isfinite(vals).all():
+        raise PreconditionError(f"nonfinite sample at t={ts[~np.isfinite(vals)][0]!r}")
+    # H(f) = H(f - f(x)): constants transform to zero exactly
+    c = int(np.searchsorted(ts, x))
+    g = vals - vals[c]
 
-    def g_odd(ss: np.ndarray) -> np.ndarray:
-        return (_checked_eval(f, x - ss) - _checked_eval(f, x + ss)) / ss
-
-    total = 0.0
-
-    # principal value near x: odd part over (EXCISION, LOCAL_RADIUS]
-    s_splits = sorted(
-        {abs(b - x) for b in breakpoints if EXCISION < abs(b - x) < LOCAL_RADIUS}
-    )
-    total += _decade_integral(g_odd, EXCISION, LOCAL_RADIUS, NODES_PER_DECADE, s_splits)
-
-    # excised strip [0, EXCISION]: midpoint rule, plus a refinement check
-    strip = EXCISION * float(g_odd(np.array([EXCISION / 2.0]))[0])
-    refined = (EXCISION / 2.0) * float(g_odd(np.array([EXCISION / 4.0]))[0])
-    refined += _panel_integral(
-        g_odd, EXCISION / 2.0, EXCISION, max(NODES_PER_DECADE // 16, 64), []
-    )
-    if abs(refined - strip) > 1e-6 * math.pi:
+    # halving the cells next to x changes only the five nodes around it
+    near = slice(c - 2, c + 3)
+    moved = _cell_sum(ts[near], g[near], x) - _cell_sum(ts[near][::2], g[near][::2], x)
+    if abs(moved) > 1e-6 * math.pi:
         warnings.warn(
             f"excision radius {EXCISION:g} not converged at x={x:g}: halving it "
-            f"moves the transform by {abs(refined - strip) / math.pi:.2e}",
+            f"moves the transform by {abs(moved) / math.pi:.2e}",
             stacklevel=2,
-        )
-    total += refined
-
-    # smooth regularization part near x
-    def g_reg(ts: np.ndarray) -> np.ndarray:
-        return (_checked_eval(f, ts) - center) * ts / (1.0 + ts * ts)
-
-    reg_splits = [b for b in breakpoints if abs(b - x) < LOCAL_RADIUS]
-    total += _panel_integral(
-        g_reg, x - LOCAL_RADIUS, x + LOCAL_RADIUS, 2 * NODES_PER_DECADE, reg_splits
-    )
-
-    # far field, combined kernel, per side
-    def g_far(ts: np.ndarray) -> np.ndarray:
-        return (
-            (_checked_eval(f, ts) - center)
-            * (1.0 + ts * x)
-            / ((x - ts) * (1.0 + ts * ts))
-        )
-
-    for side, dist in ((1.0, window - x), (-1.0, window + x)):
-
-        def g_side(ss: np.ndarray, side=side) -> np.ndarray:
-            return g_far(x + side * ss)
-
-        side_splits = sorted(
-            {
-                side * (b - x)
-                for b in breakpoints
-                if LOCAL_RADIUS < side * (b - x) < dist
-            }
-        )
-        total += _decade_integral(
-            g_side, LOCAL_RADIUS, dist, NODES_PER_DECADE, side_splits
         )
 
     # constant-extension tails beyond [-window, window]
-    c_left = float(_checked_eval(f, np.array([-window]))[0]) - center
-    c_right = float(_checked_eval(f, np.array([window]))[0]) - center
     root = math.hypot(window, 1.0)
-    total += c_left * math.log(root / (x + window))
-    total += c_right * math.log((window - x) / root)
-
-    return total / math.pi
+    tails = g[0] * math.log(root / (x + window)) + g[-1] * math.log((window - x) / root)
+    return (_cell_sum(ts, g, x) + tails) / math.pi
 
 
 # ----------------------------------------------------------------------
@@ -257,13 +199,8 @@ def hilbert_transform_sampled(f: SampledFunction) -> SampledFunction:
     spectrum = np.fft.rfft(v, m) * np.fft.rfft(_hat_kernel(n), m)
     singular = np.fft.irfft(spectrum, m)[n - 1 : 2 * n - 1]
 
-    # regularization term: x-independent, exact per linear cell with
-    # antiderivatives (1/2)log(1+t^2) and t - arctan t
-    slope = np.diff(v) / h
-    intercept = v[:-1] - slope * ts[:-1]
-    g1 = 0.5 * np.log1p(ts * ts)
-    g2 = ts - np.arctan(ts)
-    reg = float(np.sum(intercept * np.diff(g1) + slope * np.diff(g2)))
+    # regularization term: x-independent
+    reg = _regularization(ts, v, np.diff(v) / h)
 
     # constant tails merged with the removal of the convolution's dangling
     # half-hats; i (j) is the node distance from the left (right) edge

@@ -365,8 +365,8 @@ def cartwright_integral_estimate(
     cost nothing, but more than ``MAX_SKIP_FRACTION`` of them is an error.
     The radius is reported back so callers can inspect convergence in R.
     """
-    if not radius > 0:
-        raise PreconditionError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise PreconditionError(f"radius must be positive and finite, got {radius}")
     if not 0 < grid_step < 2 * radius:
         raise PreconditionError(f"bad grid step {grid_step} for radius {radius}")
     n = int(round(2 * radius / grid_step)) + 1

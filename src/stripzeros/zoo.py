@@ -61,13 +61,11 @@ class ZooModel:
     ``3^k - 3^delta_log3`` that ``re`` rounds.
     """
 
-    name: str
     re: np.ndarray
     height: float
     evaluator: Callable[[np.ndarray, float], np.ndarray] | None
     mult: np.ndarray | None = None  # None: every zero is simple
     indicator_width: float = 0.0
-    truncation: int | None = None
     k: np.ndarray | None = None
     delta_log3: np.ndarray | None = None
 
@@ -86,7 +84,7 @@ class ZooModel:
 
 
 def _offset_form(
-    ks: list[int], delta_log3: list[float], name: str, height: float, evaluator, **fields
+    ks: list[int], delta_log3: list[float], height: float, evaluator
 ) -> ZooModel:
     """Simple zeros at ``3^k - 3^delta_log3``.
 
@@ -94,8 +92,8 @@ def _offset_form(
     on some offsets.
     """
     re = np.array([3.0**k - 3.0**dl for k, dl in zip(ks, delta_log3)])
-    return ZooModel(name, re, height, evaluator, k=np.array(ks, dtype=np.int64),
-                    delta_log3=np.array(delta_log3), **fields)
+    return ZooModel(re, height, evaluator, k=np.array(ks, dtype=np.int64),
+                    delta_log3=np.array(delta_log3))
 
 
 def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
@@ -114,8 +112,7 @@ def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
         return 0.5 * np.log(np.sin(math.pi * x) ** 2 + math.sinh(math.pi * height) ** 2)
 
     re = np.arange(-truncation, truncation + 1, dtype=float)
-    return ZooModel("sine", re, h, log_modulus, indicator_width=2.0 * math.pi,
-                    truncation=truncation)
+    return ZooModel(re, h, log_modulus, indicator_width=2.0 * math.pi)
 
 
 def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
@@ -148,8 +145,7 @@ def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
                 )
         return total
 
-    return ZooModel("example1", np.array(re), 0.0, log_modulus,
-                    mult=np.array(mult, dtype=np.int64), truncation=factors)
+    return ZooModel(np.array(re), 0.0, log_modulus, mult=np.array(mult, dtype=np.int64))
 
 
 def referee_example2(k_max: int) -> ZooModel:
@@ -177,7 +173,7 @@ def referee_example2(k_max: int) -> ZooModel:
                 total += 0.5 * np.log(np.cos(c * x) ** 2 + math.sinh(c * height) ** 2)
         return total
 
-    return _offset_form(ks, delta_log3, "example2", 0.0, log_modulus, truncation=k_max)
+    return _offset_form(ks, delta_log3, 0.0, log_modulus)
 
 
 def cluster_model(count: int, height: float = 1.0) -> ZooModel:
@@ -190,8 +186,7 @@ def cluster_model(count: int, height: float = 1.0) -> ZooModel:
     def log_modulus(x, height):
         return count * 0.5 * np.log((x - 0.5) ** 2 + height * height)
 
-    return ZooModel("cluster", np.array([0.5]), height, log_modulus,
-                    mult=np.array([count], dtype=np.int64), truncation=count)
+    return ZooModel(np.array([0.5]), height, log_modulus, mult=np.array([count], dtype=np.int64))
 
 
 def shift_to_strip(model: ZooModel, h: float) -> ZooModel:
@@ -211,12 +206,13 @@ def _cluster_counts(model: ZooModel) -> np.ndarray:
 def count_claim_check(model: ZooModel, k: int) -> tuple[int, bool]:
     """Zeros strictly inside ``(3^k - 1, 3^k)`` and whether they reach k/2.
 
-    The verdict may legitimately fail for small k.
+    The verdict may legitimately fail for small k.  A k beyond the
+    model's largest k, which its zeros cannot answer, is an error.
     """
     counts = _cluster_counts(model)
-    if model.truncation is not None and k > model.truncation:
-        raise PreconditionError(f"k={k} beyond the model truncation {model.truncation}")
-    count = int(counts[k]) if 0 <= k < counts.size else 0
+    if k >= counts.size:
+        raise PreconditionError(f"k={k} beyond the model's largest k, {counts.size - 1}")
+    count = int(counts[k]) if k >= 0 else 0
     return count, count >= k / 2.0
 
 
@@ -326,6 +322,6 @@ def load_delta_csv(source) -> ZooModel:
             raise InputFormatError(f"line {lineno}: im {im!r} differs from the first row's")
         ks.append(k)
     try:
-        return _offset_form(ks, table["delta_log3"].tolist(), "example2-import", height, None)
+        return _offset_form(ks, table["delta_log3"].tolist(), height, None)
     except OverflowError:
         raise InputFormatError("an offset-form zero lies beyond the float range") from None

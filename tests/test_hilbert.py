@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import dawsn
 
 from stripzeros import (
     PreconditionError,
@@ -16,7 +17,13 @@ from stripzeros import (
 )
 from stripzeros.hilbert import _fast_len, _hat_kernel
 
-LN2_OVER_PI = math.log(2.0) / math.pi
+def gaussian(t):
+    return np.exp(-np.square(t))
+
+
+def gaussian_transform(x):
+    """H(exp(-t^2)) = (2/sqrt(pi)) * Dawson(x); the regularization term is odd."""
+    return 2.0 / math.sqrt(math.pi) * dawsn(x)
 
 
 def indicator(t):
@@ -47,17 +54,17 @@ def test_constants_transform_to_zero():
             assert abs(v) <= 1e-9
 
 
-def test_indicator_against_closed_form():
-    # oracle first: p.v. integral of 1/(3-t) over [-1,1] is ln 2 and the
-    # odd regularization term vanishes there; confirm with adaptive
+@pytest.mark.parametrize("x", [3.0, 1.001, -1.0005, 1.0003, 100.0])
+def test_indicator_against_closed_form(x):
+    # oracle first: p.v. integral of 1/(x-t) over [-1,1] is log|(x+1)/(x-1)|
+    # and the odd regularization term vanishes there; confirm with adaptive
     # quadrature before pinning the expected value
-    sing, _ = quad(indicator, -2.0, 2.0, weight="cauchy", wvar=3.0, points=None)
-    reg, _ = quad(lambda t: indicator(t) * t / (1 + t * t), -2.0, 2.0, points=[-1.0, 1.0])
-    oracle = (-sing + reg) / math.pi
-    assert oracle == pytest.approx(LN2_OVER_PI, abs=1e-9)
-    ours = hilbert_transform(indicator, 3.0, breakpoints=(-1.0, 1.0))
-    assert ours == pytest.approx(LN2_OVER_PI, abs=1e-4)
-    assert ours == pytest.approx(oracle, abs=1e-6)
+    closed = math.log(abs((x + 1.0) / (x - 1.0))) / math.pi
+    sing, _ = quad(lambda t: 1.0, -1.0, 1.0, weight="cauchy", wvar=x)
+    reg, _ = quad(lambda t: t / (1 + t * t), -1.0, 1.0)
+    assert (-sing + reg) / math.pi == pytest.approx(closed, abs=1e-9)
+    ours = hilbert_transform(indicator, x, breakpoints=(-1.0, 1.0))
+    assert ours == pytest.approx(closed, abs=1e-10)
 
 
 def test_cosine_transforms_to_sine():
@@ -84,9 +91,19 @@ def test_cosine_against_quadrature_oracle():
         assert ours == pytest.approx(oracle, abs=2e-4)
 
 
-def test_window_must_dominate_x():
+@pytest.mark.parametrize(
+    "x, window",
+    [(50.0, 100.0), (0.0, math.inf), (0.0, math.nan), (math.nan, 1e4),
+     (math.inf, math.inf), (1e307, 1.7e308)],
+)
+def test_window_must_dominate_x(x, window):
+    # too small or nonfinite (the mesh end x + window too): rejected before
+    # the evaluator runs
+    def never(t):
+        raise AssertionError("evaluated before the window was checked")
+
     with pytest.raises(PreconditionError, match="window"):
-        hilbert_transform(np.cos, 50.0, window=100.0)
+        hilbert_transform(never, x, window=window)
 
 
 def test_nonfinite_samples_rejected():
@@ -111,6 +128,35 @@ def test_excision_warning_on_jump_at_the_point():
         hilbert_transform(jump, 2.0)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.7, 3.0, -5.0, 40.0])
+def test_gaussian_against_dawson(x):
+    assert hilbert_transform(gaussian, x) == pytest.approx(gaussian_transform(x), abs=1e-6)
+
+
+@pytest.mark.parametrize("x", [-7.0, 30.0, -50.0])
+def test_bump_against_quadrature_oracle(x):
+    # x lies outside the support (-4, 6), so plain adaptive quadrature of
+    # the whole kernel is an independent oracle
+    bump = smooth_bump(1.0, 5.0, 1.0)
+
+    def kernel(t):
+        return float(bump(np.array([t]))[0]) * (1.0 / (x - t) + t / (1.0 + t * t))
+
+    oracle, _ = quad(kernel, -4.0, 6.0, limit=400, epsabs=1e-14, epsrel=1e-12)
+    assert hilbert_transform(bump, x) == pytest.approx(oracle / math.pi, abs=2e-6)
+
+
+def test_evaluator_is_called_once():
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return np.full_like(t, 2.5)
+
+    assert hilbert_transform(counting, 3.0, breakpoints=(-1.0, 1.0)) == 0.0
+    assert len(calls) == 1 and len(calls[0]) == 1
+
+
 # ----------------------------------------------------------------------
 # sampled grids
 
@@ -120,6 +166,13 @@ def test_sampled_constant_is_zero():
     out = hilbert_transform_sampled(f)
     assert np.abs(out.values).max() <= 1e-6
     assert np.abs(out.values).max() <= 1e-12
+
+
+def test_sampled_gaussian_against_dawson():
+    f = SampledFunction.from_function(gaussian, -150.0, 0.01, 30001)
+    out = hilbert_transform_sampled(f)
+    mid = np.abs(f.grid) <= 50.0
+    assert np.abs(out.values[mid] - gaussian_transform(f.grid[mid])).max() <= 2e-5
 
 
 def test_sampled_requires_wide_grid():

@@ -598,3 +598,12 @@ def test_cartwright_skipped_nodes_contribute_zero():
         -100.0, 100.0, points=[-0.5, 0.0, 0.5], limit=200,
     )
     assert est.value == pytest.approx(oracle, abs=5e-3)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0, 0.0])
+def test_cartwright_rejects_a_nonpositive_or_nonfinite_radius(radius):
+    def never(x):
+        raise AssertionError("evaluated before the radius was checked")
+
+    with pytest.raises(PreconditionError, match="radius"):
+        cartwright_integral_estimate(never, radius, 0.1)

@@ -256,6 +256,17 @@ def test_delta_csv_round_trip():
     assert (count, ok) == count_claim_check(model, 8)
 
 
+def test_count_claim_rejects_k_beyond_the_data():
+    # generated or imported, an offset-form model answers k <= its largest k
+    model = referee_example2(8)
+    buf = io.StringIO()
+    write_delta_csv(model, buf)
+    for m in (model, load_delta_csv(io.StringIO(buf.getvalue()))):
+        assert count_claim_check(m, 8) == count_claim_check(model, 8)
+        with pytest.raises(PreconditionError, match="k=9 beyond"):
+            count_claim_check(m, 9)
+
+
 @pytest.mark.parametrize("k_max", [40, 45])  # 3^40 fits uint64, 3^41 does not
 def test_delta_csv_writes_exact_bases_beyond_int64(k_max):
     model = shift_to_strip(referee_example2(k_max), 1.0)
