@@ -72,7 +72,7 @@ def _load_zeros(path: str):
     with open(path) as fh:
         head = fh.readline()
         fh.seek(0)
-        if "delta-log3" not in head:
+        if zoo.DELTA_FLAG not in head:
             return load_zero_set(fh)
         zs = zoo.load_delta_csv(fh).zeros
     if zs is None:
@@ -102,7 +102,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         raise InputFormatError("density needs --radii r1,r2,...")
     profile = upper_density_profile(_load_zeros(args.zeros), radii)
     write_csv(
-        args.out or sys.stdout,
+        args.out,
         "r,sup_count,density,witness_x\n",
         *zip(*map(astuple, profile.entries)),
     )
@@ -131,7 +131,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
         header, columns = "t,phi_sum,tail_bound\n", (ts, r.value, r.tail_bound)
     else:
         raise InputFormatError("phi needs --zero X,Y or --zeros PATH")
-    write_csv(args.out or sys.stdout, header, *columns)
+    write_csv(args.out, header, *columns)
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         f = template.like(np.full(template.n, _parse_number(args.const, "--const")))
     else:
         raise InputFormatError("hilbert needs --input PATH or --const C (with --grid)")
-    hilbert_transform_sampled(f).to_csv(args.out or sys.stdout)
+    hilbert_transform_sampled(f).to_csv(args.out)
     return EXIT_OK
 
 
@@ -159,7 +159,7 @@ def cmd_bmo(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.lengths, "--lengths needs finite min:max", ":", count=2)
     rep = bmo_estimate(SampledFunction.from_csv(args.input), lo, hi)
     write_csv(
-        args.out or sys.stdout,
+        args.out,
         "a,b,mean,oscillation\n",
         [rep.a], [rep.b], [rep.mean], [rep.oscillation],
     )
@@ -193,11 +193,10 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     if len(k_list) != 1:
         raise InputFormatError(f"zoo takes one K (--K N), got {args.K!r}")
     model = _build_model(args, k_list[0])
-    out = args.out or sys.stdout
     if model.k is not None:
-        zoo.write_delta_csv(model, out)
+        zoo.write_delta_csv(model, args.out)
     else:
-        save_zero_set(model.zeros, out)
+        save_zero_set(model.zeros, args.out)
     return EXIT_OK
 
 
@@ -218,7 +217,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
     table = [(r.label, r.bound, *r.witness, r.window_count, r.tail_bound) for r in rows]
     write_csv(
-        args.out or sys.stdout,
+        args.out,
         "K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound\n",
         *zip(*table),
         footer=f"# control sine-type (N=200) bound: {control.bound!r}\n",
@@ -247,22 +246,6 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# flag -> add_argument keywords; --out is common to every command
-FLAGS = {
-    "--zeros": {},
-    "--input": {},
-    "--grid": {},
-    "--radii": {},
-    "--truncation": {},
-    "--lengths": {},
-    "--thresholds": {},
-    "--model": {},
-    "--K": {},
-    "--shift": {"default": "1"},
-    "--zero": {},
-    "--const": {},
-}
-
 # command -> (handler, its flags)
 COMMANDS = {
     "density": (cmd_density, ["--zeros", "--radii"]),
@@ -288,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
-        p.add_argument("--out")
+            p.add_argument(flag, default="1" if flag == "--shift" else None)
+        p.add_argument("--out", default=sys.stdout)
     return parser
 
 

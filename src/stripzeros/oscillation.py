@@ -132,8 +132,9 @@ def check_fast2(g: SampledFunction, a: float, jump_size: float) -> Fast2Check:
 
     Preconditions are reported distinctly: the samples must be
     nondecreasing, ``[a-1, a+2]`` must lie in the grid, and the sampled
-    jump ``g(a+1) - g(a)`` must reach ``jump_size``.  The PASS threshold
-    concedes the quadrature tolerance ``2*h*M``.
+    jump ``g(a+1) - g(a)`` must reach ``jump_size``.  The PASS threshold is
+    exactly ``M/6``: the oscillation is the exact integral of the
+    interpolant, which is itself nondecreasing, so the bound holds for it.
     """
     if not jump_size > 0:
         raise PreconditionError(f"jump size must be positive, got {jump_size}")
@@ -149,5 +150,5 @@ def check_fast2(g: SampledFunction, a: float, jump_size: float) -> Fast2Check:
         raise InsufficientJumpError(
             f"insufficient jump: g(a+1)-g(a) = {jump:g} < {jump_size:g}"
         )
-    threshold = jump_size / 6.0 - 2.0 * g.h * jump_size
+    threshold = jump_size / 6.0
     return Fast2Check(osc >= threshold, osc, threshold, (a - 1.0, a + 2.0), jump)

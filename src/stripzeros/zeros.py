@@ -340,6 +340,8 @@ def decompose_uniformly_discrete(
 
 # share of nonfinite log-modulus nodes cartwright_integral_estimate tolerates
 MAX_SKIP_FRACTION = 0.01
+# most grid nodes cartwright_integral_estimate allocates (128 MB per array)
+MAX_GRID_NODES = 1 << 24
 
 
 def blaschke_sum(zs: ZeroSet) -> float:
@@ -364,12 +366,19 @@ def cartwright_integral_estimate(
     give ``-inf``) are skipped; since ``max(., 0)`` sends them to zero they
     cost nothing, but more than ``MAX_SKIP_FRACTION`` of them is an error.
     The radius is reported back so callers can inspect convergence in R.
+    A grid of more than ``MAX_GRID_NODES`` nodes is rejected before it is
+    allocated.
     """
     if not 0 < radius < math.inf:
         raise PreconditionError(f"radius must be positive and finite, got {radius}")
     if not 0 < grid_step < 2 * radius:
         raise PreconditionError(f"bad grid step {grid_step} for radius {radius}")
-    n = int(round(2 * radius / grid_step)) + 1
+    nodes = float(np.rint(2 * radius / grid_step)) + 1
+    if not nodes <= MAX_GRID_NODES:
+        raise PreconditionError(
+            f"grid step {grid_step} needs {nodes:.4g} nodes, beyond {MAX_GRID_NODES}"
+        )
+    n = int(nodes)
     xs = np.linspace(-radius, radius, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = evaluate_on_grid(log_modulus, xs)

@@ -48,6 +48,9 @@ __all__ = [
 
 LOG3 = math.log(3.0)
 
+# the flag line of the offset-form CSV names the format with this word
+DELTA_FLAG = "delta-log3"
+
 
 @dataclass(eq=False)
 class ZooModel:
@@ -56,8 +59,9 @@ class ZooModel:
     ``height`` is the common imaginary part of the zeros: 0 for the raw
     counterexamples, whose zeros are real.  ``evaluator(x, height)`` is the
     log-modulus for zeros at that height, in closed form per factor via
-    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``.  Offset-form models also keep
-    the exact ``k`` and ``delta_log3`` arrays of the zeros
+    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``; it is None for points read back
+    from an offset-form file, which carry no closed form.  Offset-form
+    models also keep the exact ``k`` and ``delta_log3`` arrays of the zeros
     ``3^k - 3^delta_log3`` that ``re`` rounds.
     """
 
@@ -78,9 +82,30 @@ class ZooModel:
 
     def log_modulus(self, x):
         """``log|F(x)|`` at a scalar (a float) or an array of reals."""
+        if self.evaluator is None:
+            raise PreconditionError(
+                "imported offset-form points carry no closed-form log-modulus"
+            )
         xa = np.asarray(x, dtype=float)
         out = self.evaluator(xa, self.height)
         return float(out) if xa.ndim == 0 else out
+
+
+def _cosine_product(freqs, weights):
+    """Evaluator of ``log|F|`` for ``F = prod cos(c z)^w`` over the pairs ``(c, w)``.
+
+    Zeros at height ``height`` make each factor add
+    ``w * (1/2) log(cos^2(c x) + sinh^2(c height))``.
+    """
+
+    def log_modulus(x, height):
+        total = np.zeros_like(x)
+        with np.errstate(divide="ignore"):
+            for c, w in zip(freqs, weights):
+                total += w * 0.5 * np.log(np.cos(c * x) ** 2 + math.sinh(c * height) ** 2)
+        return total
+
+    return log_modulus
 
 
 def _offset_form(
@@ -135,16 +160,8 @@ def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
         m_hi = math.floor(window / step - 0.5)
         re.extend(step * (m + 0.5) for m in range(m_lo, m_hi + 1))
         mult.extend([n] * (m_hi + 1 - m_lo))
-
-    def log_modulus(x, height):
-        total = np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            for n in range(1, factors + 1):
-                total += n * 0.5 * np.log(
-                    np.cos(x / n**3) ** 2 + math.sinh(height / n**3) ** 2
-                )
-        return total
-
+    ns = range(1, factors + 1)
+    log_modulus = _cosine_product([1.0 / n**3 for n in ns], ns)
     return ZooModel(np.array(re), 0.0, log_modulus, mult=np.array(mult, dtype=np.int64))
 
 
@@ -165,15 +182,7 @@ def referee_example2(k_max: int) -> ZooModel:
             ks.append(k)
             delta_log3.append((k - n * n + n) - correction)
     freqs = [0.5 * math.pi * (3.0 ** (-n) + 3.0 ** (-n * n)) for n in range(1, k_max + 1)]
-
-    def log_modulus(x, height):
-        total = np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            for c in freqs:
-                total += 0.5 * np.log(np.cos(c * x) ** 2 + math.sinh(c * height) ** 2)
-        return total
-
-    return _offset_form(ks, delta_log3, 0.0, log_modulus)
+    return _offset_form(ks, delta_log3, 0.0, _cosine_product(freqs, [1] * k_max))
 
 
 def cluster_model(count: int, height: float = 1.0) -> ZooModel:
@@ -266,7 +275,7 @@ def write_delta_csv(model: ZooModel, target) -> None:
     n = model.k.size
     write_csv(
         target,
-        "# format: delta-log3\nre_base,delta_log3,im,mult\n",
+        f"# format: {DELTA_FLAG}\nre_base,delta_log3,im,mult\n",
         np.array([3**k for k in model.k.tolist()], dtype=object),
         model.delta_log3,
         np.full(n, model.height),
@@ -298,8 +307,8 @@ def load_delta_csv(source) -> ZooModel:
     be finite and >= 0 (0 means the zeros are real).
     """
     lines = read_text(source).splitlines()
-    if not lines or "delta-log3" not in lines[0]:
-        raise InputFormatError("missing the delta-log3 format flag line")
+    if not lines or DELTA_FLAG not in lines[0]:
+        raise InputFormatError(f"missing the {DELTA_FLAG} format flag line")
     # the flag line and the re_base column headers hold no row
     data = [""] + [line.split("#", 1)[0].strip() for line in lines[1:]]
     data = ["" if row.startswith("re_base") else row for row in data]

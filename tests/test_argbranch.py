@@ -430,6 +430,12 @@ def test_growth_window_absent_for_sparse_set():
     assert find_growth_window(zs, 50.0) is None
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan])
+def test_growth_window_needs_a_positive_target(target):
+    with pytest.raises(PreconditionError, match="target must be positive"):
+        find_growth_window(ZeroSet([0.0], [1.0]), target)
+
+
 def test_growth_window_multiple_point():
     zs = ZeroSet([0.0], [1.0], [200])
     a = find_growth_window(zs, 50.0)

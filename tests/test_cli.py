@@ -352,6 +352,19 @@ def test_verify_theorem_unknown_model(capsys):
             ["verify-theorem", "--model", "cluster", "--K", "12", "--truncation", "5"],
             "--truncation is the example1 window only",
         ),
+        (["zoo", "--model", "sine", "--K", "3", "--shift", "abc"], "--shift needs a finite"),
+        (["phi", "--zero", "1,0", "--grid", "0:1:3"], "finite positive Y, got '1,0'"),
+        (["phi", "--zero", "1,1"], "this command needs --grid"),
+        (["density", "--radii", "1"], "density needs --zeros"),
+        (["density", "--zeros", "z.csv"], "density needs --radii"),
+        (["phi", "--grid", "0:1:3"], "phi needs --zero X,Y or --zeros PATH"),
+        (["hilbert"], "hilbert needs --input PATH or --const C"),
+        (["bmo", "--lengths", "1:2"], "bmo needs --input"),
+        (["bmo", "--input", "s.csv"], "bmo needs --lengths"),
+        (["verify-theorem", "--K", "3"], "verify-theorem needs --model"),
+        (["verify-theorem", "--model", "sine"], "verify-theorem needs --K"),
+        # an empty path is not stdout
+        (["zoo", "--model", "sine", "--K", "3", "--out", ""], "No such file or directory: ''"),
     ],
     ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
          "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
@@ -359,13 +372,24 @@ def test_verify_theorem_unknown_model(capsys):
          "radii-decreasing", "radii-repeated", "radii-zero", "radii-negative",
          "const-nan", "input-with-const", "input-with-grid", "zero-with-truncation",
          "zero-with-zeros", "zoo-K-list", "truncation-sine", "truncation-example2",
-         "truncation-verify-cluster"],
+         "truncation-verify-cluster", "shift-not-a-number", "zero-im-0", "grid-missing",
+         "density-no-zeros", "density-no-radii", "phi-no-input", "hilbert-no-input",
+         "bmo-no-input", "bmo-no-lengths", "verify-no-model", "verify-no-K", "out-empty"],
 )
 def test_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "input error: " in err and message in err
+
+
+def test_density_rejects_real_offset_form_points(tmp_path, capsys):
+    zeros = tmp_path / "real.csv"
+    zeros.write_text("# format: delta-log3\nre_base,delta_log3,im,mult\n9,-1.0,0.0,1\n")
+    code, out, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "1")
+    assert code == 2
+    assert out == ""
+    assert "offset-form points carry im=0" in err
 
 
 def test_hilbert_input_late_header_exits_2(tmp_path, capsys):

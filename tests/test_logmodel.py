@@ -43,6 +43,11 @@ def test_hlf_empty_zero_set_is_linear():
     assert tail == 0.0
 
 
+def test_model_rejects_a_negative_indicator_width():
+    with pytest.raises(PreconditionError, match="indicator width must be >= 0"):
+        HilbertLogModel(-1.0, None)
+
+
 def test_hlf_single_imaginary_zero():
     model = HilbertLogModel(0.0, ZeroSet([0.0], [1.0]))
     grid = template(-2.0, 0.5, 23)

@@ -108,6 +108,12 @@ def test_interval_outside_grid():
         mean_oscillation(f, -1.0, 0.5)
 
 
+def test_interval_shorter_than_two_steps():
+    f = sampled(lambda t: t, 0.0, 0.1, 11)
+    with pytest.raises(PreconditionError, match="shorter than two grid steps"):
+        mean_oscillation(f, 0.2, 0.35)
+
+
 def test_mean_crossing_cell_is_exact():
     # the interpolant crosses the mean 1/4 inside [0, 1]; a trapezoid of
     # |f - mean| would give 0.625
@@ -236,6 +242,7 @@ def test_fast2_step_of_height_six():
     g = sampled(lambda t: np.where(t > 0.5, 6.0, 0.0), -2.0, h, 6001)
     chk = check_fast2(g, 0.0, 6.0)
     assert chk.passed
+    assert chk.threshold == 1.0
     assert chk.oscillation == pytest.approx(3.0, abs=4 * h * 6)
     assert chk.oscillation >= 1.0
 
@@ -256,6 +263,13 @@ def test_fast2_insufficient_jump():
     g = sampled(lambda t: np.where(t > 0.5, 5.4, 0.0), -2.0, h, 6001)
     with pytest.raises(InsufficientJumpError, match="insufficient jump"):
         check_fast2(g, 0.0, 6.0)
+
+
+@pytest.mark.parametrize("jump", [0.0, -1.0, math.nan])
+def test_fast2_needs_a_positive_jump(jump):
+    g = SampledFunction(0.0, 0.001, np.linspace(0.0, 10.0, 3001))
+    with pytest.raises(PreconditionError, match="jump size must be positive"):
+        check_fast2(g, 1.0, jump)
 
 
 def test_fast2_not_monotone():

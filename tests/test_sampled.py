@@ -94,8 +94,9 @@ def test_from_function_calls_the_evaluator_once_on_the_array():
         ("# t0=0.0 h=1.0 n=4\nt,value\n0.0,1.0\n1.0,2.0\n2.0,3.0\n", "n=4"),
         ("t,value\n0.0,1.0\n1.0,2.0\n3.0,3.0\n", "off the grid"),
         ("# t0=0.0 h=1.0 n=3\nt,value\n0.0,1.0\n1.0,2.0\n2.1,3.0\n", "off the grid"),
+        ("# t0=0.0 h=1.0 n=2\nt,value\n", "no samples found"),
     ],
-    ids=["row-count", "non-uniform-without-header", "off-header-grid"],
+    ids=["row-count", "non-uniform-without-header", "off-header-grid", "no-rows"],
 )
 def test_csv_rejects_grid_mismatch(text, message):
     with pytest.raises(InputFormatError, match=message):
@@ -119,8 +120,10 @@ def _load(text):
         ("#c\n\n0,1\n1,2\n\n# c\n2\n", 7),
         ("0,1\n   \n1,2\n", 2),
         ("1_0,1\n11,2\n", 1),
+        ("# t0=abc h=1\n0,1\n1,2\n", 1),
     ],
-    ids=["bad-float", "three-columns", "one-column", "spaces-only", "underscore"],
+    ids=["bad-float", "three-columns", "one-column", "spaces-only", "underscore",
+         "header-not-a-number"],
 )
 def test_csv_reports_file_line(text, line):
     with pytest.raises(InputFormatError, match=f"^line {line}: "):

@@ -139,6 +139,20 @@ def test_load_json_rejects_bad_mult(mult):
         load_zero_set(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"re": 0, "im": 1}', "bad JSON: "),
+        ('[{"re": 0}]', "record 0: 'im'"),
+        ("[3]", "record 0: "),
+    ],
+    ids=["malformed", "no-im", "not-a-record"],
+)
+def test_load_json_rejects_malformed_records(text, message):
+    with pytest.raises(InputFormatError, match="^" + re.escape(message)):
+        load_zero_set(io.StringIO(text))
+
+
 def test_load_json_reports_bad_coordinates():
     with pytest.raises(InputFormatError, match="record 0: im must be positive"):
         load_zero_set(io.StringIO('[{"re": 0, "im": -1}]'))
@@ -413,6 +427,10 @@ def test_separation_multiple_point_is_zero():
     assert separation_constant(ZeroSet([0.0], [1.0], [2])) == 0.0
 
 
+def test_separation_of_coincident_simple_zeros_is_zero():
+    assert separation_constant(ZeroSet([0.0, 0.0], [1.0, 1.0])) == 0.0
+
+
 def test_separation_vertical_pair():
     zs = ZeroSet([0.0, 0.0], [1.0, 2.0])
     assert separation_constant(zs) == 1.0
@@ -455,6 +473,12 @@ def _min_colors(zs, delta):
     while not feasible(k):
         k += 1
     return k
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+def test_decompose_needs_a_positive_delta(delta):
+    with pytest.raises(PreconditionError, match="delta must be positive"):
+        decompose_uniformly_discrete(progression(1.0, 10), delta)
 
 
 def test_decompose_already_separated():
@@ -607,3 +631,22 @@ def test_cartwright_rejects_a_nonpositive_or_nonfinite_radius(radius):
 
     with pytest.raises(PreconditionError, match="radius"):
         cartwright_integral_estimate(never, radius, 0.1)
+
+
+@pytest.mark.parametrize(
+    "radius, step, message",
+    [
+        (10.0, 0.0, "bad grid step"),
+        (10.0, math.nan, "bad grid step"),
+        (10.0, 20.0, "bad grid step"),
+        (1e6, 1e-7, r"2e\+13 nodes"),  # 146 TiB of nodes
+        (1e300, 1e-300, "inf nodes"),  # 2R/step overflows
+    ],
+    ids=["zero", "nan", "wider-than-the-range", "too-many-nodes", "node-count-overflows"],
+)
+def test_cartwright_rejects_a_bad_grid_step(radius, step, message):
+    def never(x):
+        raise AssertionError("evaluated before the grid step was checked")
+
+    with pytest.raises(PreconditionError, match=message):
+        cartwright_integral_estimate(never, radius, step)

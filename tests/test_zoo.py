@@ -327,6 +327,21 @@ def test_delta_csv_reports_file_lines(rows, message):
         load_delta_csv(_delta_csv(*rows))
 
 
+def test_delta_csv_needs_its_flag_line():
+    for text in ("", "re_base,delta_log3,im,mult\n9,0.5,1.0,1\n"):
+        with pytest.raises(InputFormatError, match="missing the delta-log3 format flag line"):
+            load_delta_csv(io.StringIO(text))
+
+
+def test_imported_offset_points_have_no_log_modulus():
+    model = shift_to_strip(referee_example2(5), 1.0)
+    buf = io.StringIO()
+    write_delta_csv(model, buf)
+    back = load_delta_csv(io.StringIO(buf.getvalue()))
+    with pytest.raises(PreconditionError, match="carry no closed-form log-modulus"):
+        back.log_modulus(0.0)
+
+
 def test_delta_csv_missing_path(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_delta_csv(str(tmp_path / "missing.csv"))
@@ -335,3 +350,36 @@ def test_delta_csv_missing_path(tmp_path):
 def test_shift_requires_positive_h():
     with pytest.raises(PreconditionError):
         shift_to_strip(referee_example2(5), 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sine_type_model(0.0), "height must be positive"),
+        (lambda: sine_type_model(1.0, truncation=-1), "truncation must be >= 0"),
+        (lambda: referee_example1(0), "need at least one factor"),
+        (lambda: referee_example1(2, window=0.0), "window must be positive"),
+        (lambda: referee_example2(1), "k_max must be >= 2"),
+        (lambda: cluster_model(0), "count must be >= 1"),
+        (lambda: cluster_model(3, height=math.nan), "height must be positive"),
+    ],
+    ids=["sine-height", "sine-truncation", "example1-factors", "example1-window",
+         "example2-k-max", "cluster-count", "cluster-height"],
+)
+def test_builders_reject_bad_arguments(build, message):
+    with pytest.raises(PreconditionError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_claim_check(sine_type_model(1.0), 3), "offset-form models only"),
+        (lambda: hot_unit_window(referee_example1(2)), "shift it first"),
+        (lambda: write_delta_csv(sine_type_model(1.0), io.StringIO()), "only offset-form"),
+    ],
+    ids=["count-claim", "hot-window-unshifted", "write-delta"],
+)
+def test_model_operations_reject_inapplicable_models(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
