@@ -46,11 +46,17 @@ def read_rows(data: list[str], dtype: np.dtype, row: str, lines: list[str], firs
     """The comma-separated rows of ``data`` as one structured array of ``dtype``.
 
     ``data[i]`` is line ``first + i + 1`` of the file, ``lines[first + i]``,
-    or the caller's rewrite of it.  ``#`` starts a comment and empty lines
-    are skipped.  One pass of numpy's C reader parses every number, rounding
-    like ``float``; the first bad line raises ``InputFormatError`` with its
-    file line, quoted as the file has it.
+    or the caller's rewrite of it.  ``#`` starts a comment, and a line that
+    is empty or holds only spaces before an optional comment is skipped.
+    One pass of numpy's C reader parses every number, rounding like
+    ``float``; the first bad line raises ``InputFormatError`` with its file
+    line, quoted as the file has it.
     """
+    try:
+        return _rows(data, dtype)
+    except ValueError:
+        # numpy rejects a line of spaces: blank those, only once a parse fails
+        data = [line if line.split("#", 1)[0].strip() else "" for line in data]
     try:
         return _rows(data, dtype)
     except ValueError:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._numutil import BLOCK_ELEMS
 from .errors import PreconditionError, TruncationError, VerificationError
-from .zeros import ZeroSet, blaschke_tail, window_count
+from .zeros import ZeroSet, window_count
 
 __all__ = [
     "ArgBranchValue",
@@ -152,7 +152,8 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
     zero, taking ``max(2*max|t| + 1, max|z| + 1)``.  For an omitted zero,
     ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so
     ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the omitted terms are therefore bounded
-    by ``2*|t|`` times the truncation remainder of the summability series.
+    by ``2*|t|`` times ``sum mult * y/|z|^2`` over the omitted zeros, which
+    is summed here from the same radii ``|z|`` that pick the kept zeros.
     The kept zeros and the nodes must lie in the range of the module
     docstring, or :class:`PreconditionError` is raised before the sum.
     """
@@ -175,7 +176,10 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
         t_abs,
     )
     value = _branch_sum(res, ims, zs.mults[keep], ts.ravel())
-    tail = TAIL_CONSTANT * np.abs(ts) * blaschke_tail(zs, truncation_radius)
+    omit = ~keep
+    r = radii[omit]  # im/r/r: re**2 would overflow beyond |Re z| ~ 1.3e154
+    remainder = float(np.sum(zs.ims[omit] / r / r * zs.mults[omit]))
+    tail = TAIL_CONSTANT * np.abs(ts) * remainder
     if ts.ndim == 0:
         return PhiSumResult(float(value[0]), float(truncation_radius), float(tail))
     return PhiSumResult(value.reshape(ts.shape), float(truncation_radius), tail)

@@ -103,10 +103,18 @@ def hilbert_transform(
     known discontinuities or kinks of ``f``; each gets nodes just either
     side, so the interpolant follows a jump there (e.g. the edges of an
     indicator function).  A jump at ``x`` itself is reported by a
-    ``UserWarning``: the result then depends on ``EXCISION``.
+    ``UserWarning``: the result then depends on ``EXCISION``.  ``x`` must
+    have a float spacing of at most ``EXCISION/2``, i.e. ``|x| < 2^38``
+    (about 2.7e11), so that ``x``, ``x +- EXCISION/2`` and ``x +- EXCISION``
+    are distinct nodes; a larger ``|x|`` is a ``PreconditionError``.
     """
     if not (math.isfinite(x + window) and math.isfinite(window - x)):
         raise PreconditionError(f"x={x} and window {window} must give a finite mesh")
+    if not math.ulp(x) <= EXCISION / 2.0:
+        raise PreconditionError(
+            f"x={x} too large for the excision window: float spacing {math.ulp(x):g} "
+            f"there exceeds EXCISION/2 = {EXCISION / 2.0:g}"
+        )
     if not window >= max(10.0 * abs(x), 100.0):
         raise PreconditionError(
             f"window {window} too small at x={x}: needs >= {max(10.0 * abs(x), 100.0)}"

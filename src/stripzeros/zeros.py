@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._numutil import evaluate_on_grid, read_rows, read_text, write_csv
+from ._numutil import read_rows, read_text, write_csv
 from .errors import InputFormatError, PreconditionError
 
 _ROW = np.dtype([("re", float), ("im", float), ("mult", np.int64)])  # a CSV row
@@ -27,16 +27,12 @@ __all__ = [
     "ZeroSet",
     "ProfileEntry",
     "DensityProfile",
-    "CartwrightEstimate",
     "load_zero_set",
     "save_zero_set",
     "window_count",
     "upper_density_profile",
     "separation_constant",
     "decompose_uniformly_discrete",
-    "blaschke_sum",
-    "blaschke_tail",
-    "cartwright_integral_estimate",
 ]
 
 
@@ -146,16 +142,6 @@ class ProfileEntry:
 @dataclass(frozen=True)
 class DensityProfile:
     entries: tuple[ProfileEntry, ...]
-
-
-@dataclass(frozen=True)
-class CartwrightEstimate:
-    """Truncated log-integrability estimate, reported with its radius."""
-
-    value: float
-    radius: float
-    skipped_nodes: int
-    total_nodes: int
 
 
 # ----------------------------------------------------------------------
@@ -333,60 +319,3 @@ def decompose_uniformly_discrete(
             classes.append([i])
     bound = upper_density_profile(expanded, [2 * delta]).entries[0].sup_count
     return [ZeroSet(expanded.res[m], expanded.ims[m]) for m in classes], bound
-
-
-# ----------------------------------------------------------------------
-# summability diagnostics
-
-# share of nonfinite log-modulus nodes cartwright_integral_estimate tolerates
-MAX_SKIP_FRACTION = 0.01
-# most grid nodes cartwright_integral_estimate allocates (128 MB per array)
-MAX_GRID_NODES = 1 << 24
-
-
-def blaschke_sum(zs: ZeroSet) -> float:
-    """``sum mult * im / |z|^2`` over the whole set."""
-    return blaschke_tail(zs, 0.0)
-
-
-def blaschke_tail(zs: ZeroSet, radius: float) -> float:
-    """The same sum restricted to ``|z| > radius`` (truncation remainder)."""
-    h = np.hypot(zs.res, zs.ims)  # im/h/h: re**2 overflows beyond |re| ~ 1.3e154
-    mask = h > radius
-    h = h[mask]
-    return float(np.sum(zs.ims[mask] / h / h * zs.mults[mask]))
-
-
-def cartwright_integral_estimate(
-    log_modulus: Callable, radius: float, grid_step: float
-) -> CartwrightEstimate:
-    """Trapezoid estimate of ``integral of max(log|F|, 0)/(1+x^2)`` on ``[-R, R]``.
-
-    Grid nodes where the evaluator is not finite (real zeros of the model
-    give ``-inf``) are skipped; since ``max(., 0)`` sends them to zero they
-    cost nothing, but more than ``MAX_SKIP_FRACTION`` of them is an error.
-    The radius is reported back so callers can inspect convergence in R.
-    A grid of more than ``MAX_GRID_NODES`` nodes is rejected before it is
-    allocated.
-    """
-    if not 0 < radius < math.inf:
-        raise PreconditionError(f"radius must be positive and finite, got {radius}")
-    if not 0 < grid_step < 2 * radius:
-        raise PreconditionError(f"bad grid step {grid_step} for radius {radius}")
-    nodes = float(np.rint(2 * radius / grid_step)) + 1
-    if not nodes <= MAX_GRID_NODES:
-        raise PreconditionError(
-            f"grid step {grid_step} needs {nodes:.4g} nodes, beyond {MAX_GRID_NODES}"
-        )
-    n = int(nodes)
-    xs = np.linspace(-radius, radius, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = evaluate_on_grid(log_modulus, xs)
-    finite = np.isfinite(vals)
-    skipped = int(n - finite.sum())
-    if skipped > MAX_SKIP_FRACTION * n:
-        raise PreconditionError(
-            f"{skipped} of {n} nodes are nonfinite, beyond the {MAX_SKIP_FRACTION:.0%} budget"
-        )
-    integrand = np.where(finite, np.maximum(vals, 0.0), 0.0) / (1.0 + xs**2)
-    return CartwrightEstimate(float(np.trapezoid(integrand, xs)), radius, skipped, n)

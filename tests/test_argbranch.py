@@ -413,6 +413,42 @@ def test_phi_sum_tail_bound_is_certified():
             assert abs(full - part.value) <= part.tail_bound + 1e-12
 
 
+def test_phi_sum_tail_values():
+    # every zero omitted: the bound is 2|t| times the whole series mult*y/|z|^2
+    assert phi_sum(ZeroSet([0.0], [1.0]), 0.25, 0.75).tail_bound == 0.5
+    assert phi_sum(ZeroSet([3.0], [4.0]), 1.0, 2.5).tail_bound == pytest.approx(0.32)
+    result = phi_sum(ZeroSet([1.0, 2.0], [1.0, 1.0]), 0.5, 1.25)
+    assert result.value == 0.0
+    assert result.tail_bound == pytest.approx(0.5 + 0.2)
+
+
+def test_phi_sum_tail_subset_bound_and_tail():
+    rng = np.random.default_rng(2)
+    xs, ys = rng.uniform(-40, 40, 60), rng.uniform(0.2, 3, 60)
+    zs = ZeroSet(xs, ys)
+    sub = ZeroSet(xs[::2], ys[::2])
+
+    def total(s):  # the whole series: |z| >= 0.2 > 0.11 omits every zero
+        return phi_sum(s, 0.05, 0.11).tail_bound / 0.1
+
+    assert total(sub) <= total(zs) + 1e-15
+    for radius in (5.0, 20.0):
+        keep = np.hypot(xs, ys) <= radius
+        inner = ZeroSet(xs[keep], ys[keep])
+        assert phi_sum(zs, 0.05, radius).tail_bound / 0.1 == pytest.approx(
+            total(zs) - total(inner)
+        )
+
+
+def test_phi_sum_tail_terms_do_not_overflow():
+    # re**2 overflows to inf for |re| beyond ~1.3e154, and the tail would read
+    # 0.0; the range rule binds only kept zeros, so these far zeros are legal
+    zs = ZeroSet([1e200], [1e300])
+    assert phi_sum(zs, 0.5, 1.5).tail_bound == pytest.approx(1e-300, rel=1e-15, abs=0)
+    # the omitted term 1/1e200/1e200 = 1e-400 underflows to 0
+    assert phi_sum(ZeroSet([0.0, 1e200], [1.0, 1.0]), 0.5, 10.0).tail_bound == 0.0
+
+
 # ----------------------------------------------------------------------
 # growth windows
 

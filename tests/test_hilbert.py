@@ -94,11 +94,11 @@ def test_cosine_against_quadrature_oracle():
 @pytest.mark.parametrize(
     "x, window",
     [(50.0, 100.0), (0.0, math.inf), (0.0, math.nan), (math.nan, 1e4),
-     (math.inf, math.inf), (1e307, 1.7e308)],
+     (math.inf, math.inf), (1e307, 1.7e308), (3e11, 3e12), (1e12, 1e13)],
 )
 def test_window_must_dominate_x(x, window):
-    # too small or nonfinite (the mesh end x + window too): rejected before
-    # the evaluator runs
+    # too small or nonfinite (the mesh end x + window too), or an x so large
+    # that x +- EXCISION/2 round onto x: rejected before the evaluator runs
     def never(t):
         raise AssertionError("evaluated before the window was checked")
 

@@ -74,6 +74,6 @@ def test_read_rows_of_no_rows_is_empty_without_a_warning():
     assert rows.shape == (0,) and rows.dtype == ROW
     data = ["1.5,2 # c", "", "-0.0, 3"]
     assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]
-    # spaces before a comment leave a line of spaces, which is a bad row
-    with pytest.raises(InputFormatError, match="^line 2: "):
-        read_rows(["1.5,2", "  # c"], ROW, "an x,k row", ["1.5,2", "  # c"])
+    # a line of spaces, or of spaces before a comment, is skipped too
+    data = ["1.5,2", "  # c", "   ", "-0.0, 3"]
+    assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]

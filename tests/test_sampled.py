@@ -118,11 +118,11 @@ def _load(text):
         ("#c\n\n0,1\n#x\n1,abc\n", 5),
         ("# t0=0 h=1 n=3\n\nt,value\n# c\n\n0,1\n1,2,9\n2,3\n", 7),
         ("#c\n\n0,1\n1,2\n\n# c\n2\n", 7),
-        ("0,1\n   \n1,2\n", 2),
+        ("0,1\n   \n \t# c\n1,x\n", 4),
         ("1_0,1\n11,2\n", 1),
         ("# t0=abc h=1\n0,1\n1,2\n", 1),
     ],
-    ids=["bad-float", "three-columns", "one-column", "spaces-only", "underscore",
+    ids=["bad-float", "three-columns", "one-column", "after-spaces", "underscore",
          "header-not-a-number"],
 )
 def test_csv_reports_file_line(text, line):
@@ -169,6 +169,9 @@ def test_csv_rejects_non_finite_header_grid(header):
 def test_csv_accepts_inline_comments_and_blank_lines():
     f = _load("\n# t0=0 h=0.5 n=3\nT,Value\n0,1 # first\n\n0.5,2\n# note\n1.0,3\n\n")
     assert (f.t0, f.h) == (0.0, 0.5)
+    assert f.values.tolist() == [1.0, 2.0, 3.0]
+    # a line of spaces, or of spaces before a comment, is skipped like an empty one
+    f = _load("0,1\n   \n1,2\n \t # c\n2,3\n")
     assert f.values.tolist() == [1.0, 2.0, 3.0]
 
 

@@ -1,4 +1,4 @@
-"""Zero-set loading, counting, densities, separation, summability."""
+"""Zero-set loading, counting, densities, separation."""
 
 import io
 import json
@@ -13,14 +13,10 @@ from stripzeros import (
     InputFormatError,
     PreconditionError,
     ZeroSet,
-    blaschke_sum,
-    blaschke_tail,
-    cartwright_integral_estimate,
     decompose_uniformly_discrete,
     load_zero_set,
     save_zero_set,
     separation_constant,
-    sine_type_model,
     upper_density_profile,
     window_count,
 )
@@ -523,130 +519,3 @@ def test_decompose_window_bound_heuristic():
     classes, _ = decompose_uniformly_discrete(zs, 1.0 / (2 * c_max))
     assert len(classes) <= 2 * c_max + 1
 
-
-# ----------------------------------------------------------------------
-# summability
-
-
-def test_blaschke_single_values():
-    assert blaschke_sum(ZeroSet([0.0], [1.0])) == 1.0
-    assert blaschke_sum(ZeroSet([3.0], [4.0])) == pytest.approx(0.16)
-
-
-def test_blaschke_partial_sum():
-    zs = ZeroSet([1.0, 2.0], [1.0, 1.0])
-    assert blaschke_sum(zs) == pytest.approx(0.5 + 0.2)
-
-
-def test_blaschke_subset_bound_and_tail():
-    rng = np.random.default_rng(2)
-    xs, ys = rng.uniform(-40, 40, 60), rng.uniform(0.2, 3, 60)
-    zs = ZeroSet(xs, ys)
-    sub = ZeroSet(xs[::2], ys[::2])
-    assert blaschke_sum(sub) <= blaschke_sum(zs) + 1e-15
-    for radius in (5.0, 20.0):
-        keep = np.hypot(xs, ys) <= radius
-        inner = ZeroSet(xs[keep], ys[keep])
-        assert blaschke_tail(zs, radius) == pytest.approx(
-            blaschke_sum(zs) - blaschke_sum(inner)
-        )
-
-
-def test_blaschke_terms_do_not_overflow():
-    # re**2 overflowed to inf for |re| beyond ~1.3e154, and the tail read 0.0
-    zs = ZeroSet([1e200], [1e300])
-    assert blaschke_tail(zs, 1.0) == pytest.approx(1e-300, rel=1e-15)
-    assert blaschke_sum(zs) == blaschke_tail(zs, 1.0)
-    assert blaschke_tail(ZeroSet([0.0, 1e200], [1.0, 1.0]), 10.0) == 0.0  # 1e-400 underflows
-
-
-# ----------------------------------------------------------------------
-# truncated log-integrability
-
-
-def test_cartwright_zero_integrand():
-    est = cartwright_integral_estimate(lambda x: np.zeros_like(np.asarray(x, float)), 50.0, 0.01)
-    assert est.value == 0.0
-
-
-def test_cartwright_constant_one():
-    est = cartwright_integral_estimate(
-        lambda x: np.ones_like(np.asarray(x, float)), 1000.0, 0.05
-    )
-    assert est.value == pytest.approx(math.pi, abs=0.01)
-    assert est.radius == 1000.0
-
-
-def test_cartwright_sine_band():
-    # log|sin(pi(x - i))| lies between log sinh(pi) and log cosh(pi), so the
-    # integral against 1/(1+x^2) over [-R, R] is pinned by those constants
-    model = sine_type_model(1.0)
-    est = cartwright_integral_estimate(model.log_modulus, 100.0, 0.01)
-    lo = math.pi * math.log(math.sinh(math.pi)) - 0.1
-    hi = math.pi * math.log(math.cosh(math.pi)) + 0.1
-    assert lo <= est.value <= hi
-
-
-def test_cartwright_convergence_in_radius():
-    model = sine_type_model(1.0)
-    v1 = cartwright_integral_estimate(model.log_modulus, 100.0, 0.01).value
-    v2 = cartwright_integral_estimate(model.log_modulus, 200.0, 0.01).value
-    assert abs(v2 - v1) <= math.pi * math.log(math.cosh(math.pi)) / 100.0
-
-
-def test_cartwright_skip_budget():
-    def mostly_bad(x):
-        xa = np.asarray(x, float)
-        out = np.full_like(xa, -np.inf)
-        out[: xa.size // 2] = 1.0
-        return out
-
-    with pytest.raises(PreconditionError, match="nonfinite"):
-        cartwright_integral_estimate(mostly_bad, 10.0, 0.1)
-
-
-def test_cartwright_skipped_nodes_contribute_zero():
-    # log|2x| is -inf exactly at the node x = 0, where the clipped
-    # integrand is 0 anyway; the estimate must match plain quadrature
-    from scipy.integrate import quad
-
-    def log_mod(x):
-        xa = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(2.0 * xa))
-
-    est = cartwright_integral_estimate(log_mod, 100.0, 0.05)
-    assert est.skipped_nodes == 1
-    oracle, _ = quad(
-        lambda x: max(math.log(abs(2 * x)), 0.0) / (1 + x * x),
-        -100.0, 100.0, points=[-0.5, 0.0, 0.5], limit=200,
-    )
-    assert est.value == pytest.approx(oracle, abs=5e-3)
-
-
-@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0, 0.0])
-def test_cartwright_rejects_a_nonpositive_or_nonfinite_radius(radius):
-    def never(x):
-        raise AssertionError("evaluated before the radius was checked")
-
-    with pytest.raises(PreconditionError, match="radius"):
-        cartwright_integral_estimate(never, radius, 0.1)
-
-
-@pytest.mark.parametrize(
-    "radius, step, message",
-    [
-        (10.0, 0.0, "bad grid step"),
-        (10.0, math.nan, "bad grid step"),
-        (10.0, 20.0, "bad grid step"),
-        (1e6, 1e-7, r"2e\+13 nodes"),  # 146 TiB of nodes
-        (1e300, 1e-300, "inf nodes"),  # 2R/step overflows
-    ],
-    ids=["zero", "nan", "wider-than-the-range", "too-many-nodes", "node-count-overflows"],
-)
-def test_cartwright_rejects_a_bad_grid_step(radius, step, message):
-    def never(x):
-        raise AssertionError("evaluated before the grid step was checked")
-
-    with pytest.raises(PreconditionError, match=message):
-        cartwright_integral_estimate(never, radius, step)

@@ -11,11 +11,11 @@ import pytest
 from stripzeros import (
     InputFormatError,
     PreconditionError,
-    blaschke_sum,
     cluster_model,
     count_claim_check,
     hot_unit_window,
     load_delta_csv,
+    phi_sum,
     referee_example1,
     referee_example2,
     relative_zero_set,
@@ -164,8 +164,10 @@ def test_example2_shift_and_summability():
     model = shift_to_strip(referee_example2(12), 1.0)
     assert model.zeros.alpha == model.zeros.beta == 1.0
     assert np.isfinite(model.log_modulus(np.linspace(-50, 50, 1001))).all()
-    total = blaschke_sum(model.zeros)
-    assert 0.0 < total < 1.0
+    # every |z| exceeds 2.5, so the tail bound at t = 1 is 2 * the whole series
+    result = phi_sum(model.zeros, 1.0, 2.5)
+    assert result.value == 0.0
+    assert 0.0 < result.tail_bound < 2.0
 
 
 def test_example2_float_density_matches_delta_counts():
