@@ -413,15 +413,6 @@ def test_phi_sum_tail_bound_is_certified():
             assert abs(full - part.value) <= part.tail_bound + 1e-12
 
 
-def test_phi_sum_tail_values():
-    # every zero omitted: the bound is 2|t| times the whole series mult*y/|z|^2
-    assert phi_sum(ZeroSet([0.0], [1.0]), 0.25, 0.75).tail_bound == 0.5
-    assert phi_sum(ZeroSet([3.0], [4.0]), 1.0, 2.5).tail_bound == pytest.approx(0.32)
-    result = phi_sum(ZeroSet([1.0, 2.0], [1.0, 1.0]), 0.5, 1.25)
-    assert result.value == 0.0
-    assert result.tail_bound == pytest.approx(0.5 + 0.2)
-
-
 def test_phi_sum_tail_subset_bound_and_tail():
     rng = np.random.default_rng(2)
     xs, ys = rng.uniform(-40, 40, 60), rng.uniform(0.2, 3, 60)

@@ -122,7 +122,7 @@ def _load(text):
         ("1_0,1\n11,2\n", 1),
         ("# t0=abc h=1\n0,1\n1,2\n", 1),
     ],
-    ids=["bad-float", "three-columns", "one-column", "after-spaces", "underscore",
+    ids=["bad-float", "three-columns", "one-column", "spaces-only", "underscore",
          "header-not-a-number"],
 )
 def test_csv_reports_file_line(text, line):

@@ -15,6 +15,7 @@ from stripzeros import (
     ZeroSet,
     decompose_uniformly_discrete,
     load_zero_set,
+    phi_sum,
     save_zero_set,
     separation_constant,
     upper_density_profile,
@@ -519,3 +520,18 @@ def test_decompose_window_bound_heuristic():
     classes, _ = decompose_uniformly_discrete(zs, 1.0 / (2 * c_max))
     assert len(classes) <= 2 * c_max + 1
 
+
+# ----------------------------------------------------------------------
+# the summability series mult*y/|z|^2, summed by phi_sum over the omitted
+# zeros: with every zero omitted its tail_bound is 2|t| times the whole series
+
+
+def test_blaschke_single_values():
+    assert phi_sum(ZeroSet([0.0], [1.0]), 0.25, 0.75).tail_bound == 0.5
+    assert phi_sum(ZeroSet([3.0], [4.0]), 1.0, 2.5).tail_bound == pytest.approx(0.32)
+
+
+def test_blaschke_partial_sum():
+    result = phi_sum(ZeroSet([1.0, 2.0], [1.0, 1.0]), 0.5, 1.25)
+    assert result.value == 0.0
+    assert result.tail_bound == pytest.approx(0.5 + 0.2)
