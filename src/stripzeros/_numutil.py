@@ -42,21 +42,31 @@ def read_text(source) -> str:
     return Path(source).read_text()
 
 
-def read_rows(data: list[str], dtype: np.dtype, row: str, lines: list[str], first: int = 0):
+def _blank_spaces(line: str) -> str:
+    """``line``, or ``""`` when it holds only spaces before an optional comment."""
+    return line if line.split("#", 1)[0].strip() else ""
+
+
+def read_rows(
+    data: list[str], dtype: np.dtype, row: str, lines: list[str], first: int = 0,
+    rewrite: Callable[[str], str] = _blank_spaces,
+):
     """The comma-separated rows of ``data`` as one structured array of ``dtype``.
 
-    ``data[i]`` is line ``first + i + 1`` of the file, ``lines[first + i]``,
-    or the caller's rewrite of it.  ``#`` starts a comment, and a line that
-    is empty or holds only spaces before an optional comment is skipped.
-    One pass of numpy's C reader parses every number, rounding like
-    ``float``; the first bad line raises ``InputFormatError`` with its file
-    line, quoted as the file has it.
+    ``data[i]`` is line ``first + i + 1`` of the file, ``lines[first + i]``.
+    ``#`` starts a comment, and a line that is empty or holds only spaces
+    before an optional comment is skipped.  One pass of numpy's C reader
+    parses every number, rounding like ``float``.  Only if that pass fails
+    is every line passed through ``rewrite`` and parsed again: the default
+    blanks the lines of spaces numpy rejects, and a caller may also pad its
+    short rows, so a file mixing short and full rows is parsed twice.  The
+    first line bad after ``rewrite`` raises ``InputFormatError`` with its
+    file line, quoted as the file has it.
     """
     try:
         return _rows(data, dtype)
     except ValueError:
-        # numpy rejects a line of spaces: blank those, only once a parse fails
-        data = [line if line.split("#", 1)[0].strip() else "" for line in data]
+        data = [rewrite(line) for line in data]
     try:
         return _rows(data, dtype)
     except ValueError:

@@ -79,7 +79,14 @@ class ZeroSet:
             row = int(np.argmin(ok))
             what, values = next((w, v) for w, v, good in checks if not good[row])
             raise _BadZero(row, f"{what}, got {values[row]}")
-        order = np.lexsort((mult, im, re))
+        # one sort by re, then only the runs of equal re by (re, im, mult), their
+        # rows in input order so that full ties (0.0, -0.0) keep it, as in one lexsort
+        order = np.argsort(re)
+        s = re[order]
+        eq = np.concatenate(([False], s[1:] == s[:-1], [False]))  # s[k] == s[k - 1]
+        g = np.flatnonzero(eq[:-1] | eq[1:])  # positions in a run of equal re
+        idx = np.sort(order[g])
+        order[g] = idx[np.lexsort((mult[idx], im[idx], re[idx]))]
         self._re = re[order]
         self._im = im[order]
         self._mult = mult[order].astype(np.int64)
@@ -178,20 +185,20 @@ def load_zero_set(source) -> ZeroSet:
             if isinstance(mult, bool) or not isinstance(mult, (int, float)):
                 raise InputFormatError(f"record {i}: mult must be an integer, got {mult!r}")
             mults.append(mult)
-        rows = range(len(res))  # record numbers
     else:
         unit = "line"
         lines = text.splitlines()
-        data = [_with_mult(line) for line in lines]
-        table = read_rows(data, _ROW, "a re,im[,mult] row of numbers", lines)
+        table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", lines, rewrite=_with_mult)
         res, ims, mults = table["re"], table["im"], table["mult"]
-        rows = [i for i, row in enumerate(data, start=1) if row]  # line numbers
-    if not rows:
+    if len(res) == 0:
         raise InputFormatError("empty zero-set input")
     try:
         return ZeroSet(res, ims, mults)
     except _BadZero as exc:
-        raise InputFormatError(f"{unit} {rows[exc.row]}: {exc.reason}") from None
+        n = exc.row  # a record number, or the n-th line that holds a row
+        if unit == "line":
+            n = [i for i, line in enumerate(lines, start=1) if _with_mult(line)][n]
+        raise InputFormatError(f"{unit} {n}: {exc.reason}") from None
 
 
 def _with_mult(line: str) -> str:

@@ -77,3 +77,20 @@ def test_read_rows_of_no_rows_is_empty_without_a_warning():
     # a line of spaces, or of spaces before a comment, is skipped too
     data = ["1.5,2", "  # c", "   ", "-0.0, 3"]
     assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]
+
+
+def test_read_rows_rewrites_lines_only_after_a_failed_parse():
+    calls = []
+
+    def rewrite(line):
+        calls.append(line)
+        return line.strip()
+
+    data = ["1.5,2 # c", "", "#", "-0.0, 3"]
+    assert read_rows(data, ROW, "an x,k row", data, rewrite=rewrite).tolist() == [
+        (1.5, 2), (-0.0, 3)]
+    assert calls == []
+    data = ["1.5,2 # c", "   ", "#", "-0.0, 3"]  # numpy rejects the line of spaces
+    assert read_rows(data, ROW, "an x,k row", data, rewrite=rewrite).tolist() == [
+        (1.5, 2), (-0.0, 3)]
+    assert calls == data

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stripzeros import (
     InputFormatError,
@@ -95,10 +95,33 @@ def test_round_trip_bit_exact(fmt):
     assert back == zs
 
 
-@pytest.mark.parametrize("row", ["nan,1", "inf,1", "-inf,1", "1,inf", "1,nan", "1,-2", "1,1,0"])
+BAD_ZEROS = ["nan,1", "inf,1", "-inf,1", "1,inf", "1,nan", "1,-2", "1,1,0"]
+
+
+@pytest.mark.parametrize("row", BAD_ZEROS)
 def test_load_rejects_bad_zero_with_its_line(row):
     with pytest.raises(InputFormatError, match="line 3: (re|im|mult) must be"):
         load_zero_set(io.StringIO(f"0.5,1\n# comment\n{row}\n0.7,1\n"))
+
+
+@pytest.mark.parametrize("row", BAD_ZEROS)
+def test_load_rejects_bad_zero_in_full_rows_with_its_line(row):
+    # every row carries its mult, so the first parse succeeds and no line is padded
+    full = row if row.count(",") == 2 else row + ",2"
+    text = f"0.5,1,3\n\n# comment\n#\n{full} # note\n0.7,1,1\n"
+    with pytest.raises(InputFormatError, match="^line 5: (re|im|mult) must be"):
+        load_zero_set(io.StringIO(text))
+
+
+def test_load_pads_a_short_last_row_like_a_full_file():
+    # the first parse fails on the last line only; the padded parse reads every line
+    rows = "".join(f"{k}.5,{k % 7 + 1}.25,{k % 3 + 1}\n# c\n\n" for k in range(-50, 50))
+    for short, full in (("7,0.5\n", "7,0.5,1\n"), ("-0.0,2,", "-0.0,2,1")):
+        zs, expected = (load_zero_set(io.StringIO(rows + last)) for last in (short, full))
+        for a, b in ((zs.res, expected.res), (zs.ims, expected.ims), (zs.mults, expected.mults)):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(InputFormatError, match="^line 301: im must be positive"):
+        load_zero_set(io.StringIO(rows + "7,-0.5\n"))
 
 
 # one row grammar: (file text, its (re, im, mult) rows, or the start of the error)
@@ -223,6 +246,27 @@ def test_shuffled_arrays_equal_sorted_points(rows, data):
     zs = ZeroSet(*_columns(shuffled))
     assert zs == ZeroSet(*_columns(rows))
     assert _triples(zs) == sorted(rows)
+
+
+# signed zeros, few heights and mults: runs of equal re and repeated whole rows
+_tied_rows = st.lists(
+    st.tuples(st.sampled_from([0.0, -0.0, 1.0]) | _ties, st.sampled_from([0.5, 1.0]),
+              st.integers(1, 2)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(deadline=None)
+@given(rows=_tied_rows)
+@example(rows=[(x, 1.0, 1) for x in [1.0, 0.0, -0.0, 0.5] * 4])
+def test_constructor_permutation_is_one_lexsort(rows):
+    # bytewise: == cannot tell 0.0 from -0.0, the order of a full tie can
+    re, im, mult = _columns(rows)
+    order = np.lexsort((mult, im, re))
+    zs = ZeroSet(re, im, mult)
+    for a, b in ((zs.res, re[order]), (zs.ims, im[order]), (zs.mults, mult[order])):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(deadline=None)
