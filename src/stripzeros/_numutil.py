@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -48,25 +48,26 @@ def _blank_spaces(line: str) -> str:
 
 
 def read_rows(
-    data: list[str], dtype: np.dtype, row: str, lines: list[str], first: int = 0,
+    lines: list[str], dtype: np.dtype, row: str, first: int = 0,
     rewrite: Callable[[str], str] = _blank_spaces,
 ):
-    """The comma-separated rows of ``data`` as one structured array of ``dtype``.
+    """The comma-separated rows of ``lines[first:]`` as one structured array of ``dtype``.
 
-    ``data[i]`` is line ``first + i + 1`` of the file, ``lines[first + i]``.
-    ``#`` starts a comment, and a line that is empty or holds only spaces
-    before an optional comment is skipped.  One pass of numpy's C reader
-    parses every number, rounding like ``float``.  Only if that pass fails
-    is every line passed through ``rewrite`` and parsed again: the default
-    blanks the lines of spaces numpy rejects, and a caller may also pad its
-    short rows, so a file mixing short and full rows is parsed twice.  The
-    first line bad after ``rewrite`` raises ``InputFormatError`` with its
-    file line, quoted as the file has it.
+    ``lines[i]`` is line ``i + 1`` of the file.  ``#`` starts a comment,
+    and a line that is empty or holds only spaces before an optional
+    comment is skipped.  One pass of numpy's C reader parses every number,
+    rounding like ``float``.  Only if that pass fails is every line passed
+    through ``rewrite`` and parsed again: the default blanks the lines of
+    spaces numpy rejects, and a caller may also pad its short rows, so a
+    file mixing short and full rows is parsed twice.  The first line bad
+    after ``rewrite`` raises ``InputFormatError`` with its file line,
+    quoted as the file has it.
     """
+    # the rows are not copied out of lines unless the first parse fails
     try:
-        return _rows(data, dtype)
+        return _rows(islice(lines, first, None), dtype)
     except ValueError:
-        data = [rewrite(line) for line in data]
+        data = [rewrite(line) for line in islice(lines, first, None)]
     try:
         return _rows(data, dtype)
     except ValueError:
@@ -83,7 +84,7 @@ def read_rows(
     raise InputFormatError(f"line {k + 1}: expected {row}, got {lines[k]!r}")
 
 
-def _rows(data: list[str], dtype: np.dtype) -> np.ndarray:
+def _rows(data: Iterable[str], dtype: np.dtype) -> np.ndarray:
     with warnings.catch_warnings():
         # no rows at all is an empty array, for the caller to judge
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -67,21 +67,6 @@ def _parse_ks(text: str | None) -> list[int]:
     return [int(k) for k in ks]
 
 
-def _load_zeros(path: str):
-    """Load plain zero-set CSV/JSON or the offset-form delta variant."""
-    with open(path) as fh:
-        head = fh.readline()
-        fh.seek(0)
-        if zoo.DELTA_FLAG not in head:
-            return load_zero_set(fh)
-        zs = zoo.load_delta_csv(fh).zeros
-    if zs is None:
-        raise InputFormatError(
-            f"{path}: offset-form points carry im=0; export a shifted model"
-        )
-    return zs
-
-
 def _grid_template(args: argparse.Namespace) -> SampledFunction:
     if args.grid is None:
         raise InputFormatError("this command needs --grid t0:h:n")
@@ -100,7 +85,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     )
     if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
-    profile = upper_density_profile(_load_zeros(args.zeros), radii)
+    profile = upper_density_profile(load_zero_set(args.zeros), radii)
     write_csv(
         args.out,
         "r,sup_count,density,witness_x\n",
@@ -127,7 +112,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
             raise InputFormatError(f"{what}, got {args.zero!r}")
         header, columns = "t,phi\n", (ts, phi_sum(ZeroSet([x], [y]), ts, None).value)
     elif args.zeros:
-        r = phi_sum(_load_zeros(args.zeros), ts, radius)
+        r = phi_sum(load_zero_set(args.zeros), ts, radius)
         header, columns = "t,phi_sum,tail_bound\n", (ts, r.value, r.tail_bound)
     else:
         raise InputFormatError("phi needs --zero X,Y or --zeros PATH")
@@ -192,11 +177,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     k_list = _parse_ks(args.K)
     if len(k_list) != 1:
         raise InputFormatError(f"zoo takes one K (--K N), got {args.K!r}")
-    model = _build_model(args, k_list[0])
-    if model.k is not None:
-        zoo.write_delta_csv(model, args.out)
-    else:
-        save_zero_set(model.zeros, args.out)
+    save_zero_set(_build_model(args, k_list[0]).zeros, args.out)
     return EXIT_OK
 
 

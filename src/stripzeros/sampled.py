@@ -109,7 +109,7 @@ class SampledFunction:
             raise InputFormatError(
                 f"line {lineno}: grid header after the first data row"
             )
-        rows = read_rows(lines[first:], _ROW, "a t,value row of two numbers", lines, first)
+        rows = read_rows(lines, _ROW, "a t,value row of two numbers", first)
         ts = rows["t"]
         if t0 is None:
             t0 = ts[0]

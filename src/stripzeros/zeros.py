@@ -188,7 +188,7 @@ def load_zero_set(source) -> ZeroSet:
     else:
         unit = "line"
         lines = text.splitlines()
-        table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", lines, rewrite=_with_mult)
+        table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", rewrite=_with_mult)
         res, ims, mults = table["re"], table["im"], table["mult"]
     if len(res) == 0:
         raise InputFormatError("empty zero-set input")

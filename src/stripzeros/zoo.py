@@ -16,7 +16,9 @@ bound:
   ``3^k - delta``.
 
 All generators are pure; ``ZooModel.log_modulus`` accepts scalars or numpy
-arrays.
+arrays.  ``zoo`` exports every model, ``example2`` too, as the plain
+``re,im,mult`` zero-set CSV of its float ``re``; the exact arrays stay in
+memory.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import read_rows, read_text, write_csv
-from .errors import InputFormatError, PreconditionError
+from .errors import PreconditionError
 from .zeros import ZeroSet, upper_density_profile
 
 __all__ = [
@@ -42,14 +43,9 @@ __all__ = [
     "shift_to_strip",
     "hot_unit_window",
     "relative_zero_set",
-    "write_delta_csv",
-    "load_delta_csv",
 ]
 
 LOG3 = math.log(3.0)
-
-# the flag line of the offset-form CSV names the format with this word
-DELTA_FLAG = "delta-log3"
 
 
 @dataclass(eq=False)
@@ -59,15 +55,15 @@ class ZooModel:
     ``height`` is the common imaginary part of the zeros: 0 for the raw
     counterexamples, whose zeros are real.  ``evaluator(x, height)`` is the
     log-modulus for zeros at that height, in closed form per factor via
-    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``; it is None for points read back
-    from an offset-form file, which carry no closed form.  Offset-form
-    models also keep the exact ``k`` and ``delta_log3`` arrays of the zeros
-    ``3^k - 3^delta_log3`` that ``re`` rounds.
+    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``.  Offset-form models
+    (``referee_example2``) also keep the exact ``k`` and ``delta_log3``
+    arrays of the zeros ``3^k - 3^delta_log3`` that ``re`` rounds; only
+    ``re`` is exported, as for every model.
     """
 
     re: np.ndarray
     height: float
-    evaluator: Callable[[np.ndarray, float], np.ndarray] | None
+    evaluator: Callable[[np.ndarray, float], np.ndarray]
     mult: np.ndarray | None = None  # None: every zero is simple
     indicator_width: float = 0.0
     k: np.ndarray | None = None
@@ -82,10 +78,6 @@ class ZooModel:
 
     def log_modulus(self, x):
         """``log|F(x)|`` at a scalar (a float) or an array of reals."""
-        if self.evaluator is None:
-            raise PreconditionError(
-                "imported offset-form points carry no closed-form log-modulus"
-            )
         xa = np.asarray(x, dtype=float)
         out = self.evaluator(xa, self.height)
         return float(out) if xa.ndim == 0 else out
@@ -106,19 +98,6 @@ def _cosine_product(freqs, weights):
         return total
 
     return log_modulus
-
-
-def _offset_form(
-    ks: list[int], delta_log3: list[float], height: float, evaluator
-) -> ZooModel:
-    """Simple zeros at ``3^k - 3^delta_log3``.
-
-    The powers are scalar float powers: numpy's differ from them by an ulp
-    on some offsets.
-    """
-    re = np.array([3.0**k - 3.0**dl for k, dl in zip(ks, delta_log3)])
-    return ZooModel(re, height, evaluator, k=np.array(ks, dtype=np.int64),
-                    delta_log3=np.array(delta_log3))
 
 
 def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
@@ -171,10 +150,11 @@ def referee_example2(k_max: int) -> ZooModel:
     ``delta(k, n) = 3^k / (3^(n^2-n) + 1)``, kept as ``log3 delta``; the
     sign of that log decides ``delta < 1`` exactly, which is the interval
     predicate every count uses.  The evaluator sums the ``n <= k_max``
-    factors ``cos[(pi/2)(3^-n + 3^-n^2) x]``.
+    factors ``cos[(pi/2)(3^-n + 3^-n^2) x]``.  ``k_max`` stops at 646, the
+    last k whose ``3.0**k`` is a finite float.
     """
-    if k_max < 2:
-        raise PreconditionError(f"k_max must be >= 2, got {k_max}")
+    if not 2 <= k_max <= 646:
+        raise PreconditionError(f"k_max must be >= 2 and <= 646, got {k_max}")
     ks, delta_log3 = [], []
     for k in range(2, k_max + 1):
         for n in range(1, k):
@@ -182,13 +162,19 @@ def referee_example2(k_max: int) -> ZooModel:
             ks.append(k)
             delta_log3.append((k - n * n + n) - correction)
     freqs = [0.5 * math.pi * (3.0 ** (-n) + 3.0 ** (-n * n)) for n in range(1, k_max + 1)]
-    return _offset_form(ks, delta_log3, 0.0, _cosine_product(freqs, [1] * k_max))
+    # scalar float powers: numpy's differ from them by an ulp on some offsets
+    re = np.array([3.0**k - 3.0**dl for k, dl in zip(ks, delta_log3)])
+    return ZooModel(re, 0.0, _cosine_product(freqs, [1] * k_max),
+                    k=np.array(ks, dtype=np.int64), delta_log3=np.array(delta_log3))
 
 
 def cluster_model(count: int, height: float = 1.0) -> ZooModel:
-    """One zero of multiplicity ``count`` at ``0.5 + i*height``."""
-    if count < 1:
-        raise PreconditionError(f"count must be >= 1, got {count}")
+    """One zero of multiplicity ``count`` at ``0.5 + i*height``.
+
+    ``count`` must fit the int64 ``mult`` of a zero set: ``1 <= count < 2^63``.
+    """
+    if not 1 <= count < 2**63:
+        raise PreconditionError(f"count must be >= 1 and < 2^63, got {count}")
     if not height > 0:
         raise PreconditionError(f"height must be positive, got {height}")
 
@@ -263,74 +249,3 @@ def relative_zero_set(model: ZooModel, base: float | int) -> ZeroSet:
             for k, dl in zip(model.k.tolist(), model.delta_log3.tolist())
         ]
     return ZeroSet(re, np.full(len(re), model.height), model.mult)
-
-
-# ----------------------------------------------------------------------
-# offset-form export: `re_base,delta_log3,im,mult` rows under a flag line
-
-
-def write_delta_csv(model: ZooModel, target) -> None:
-    if model.k is None:
-        raise PreconditionError("only offset-form models export delta CSV")
-    n = model.k.size
-    write_csv(
-        target,
-        f"# format: {DELTA_FLAG}\nre_base,delta_log3,im,mult\n",
-        np.array([3**k for k in model.k.tolist()], dtype=object),
-        model.delta_log3,
-        np.full(n, model.height),
-        np.ones(n, dtype=np.int64),
-    )
-
-
-# re_base stays text, for an exact int: 3^k passes int64
-_ROW = np.dtype([("re_base", object), ("delta_log3", float), ("im", float),
-                 ("mult", np.int64)])
-
-
-def _power_of_three(text: str, lineno: int) -> int:
-    """The k with ``3^k`` equal to ``text``, read as numpy reads an integer."""
-    text = text.strip()
-    digits = text.removeprefix("+")
-    # 4000 digits stay below int()'s limit and far beyond any float 3^k
-    v = int(digits) if digits.isascii() and digits.isdigit() and len(digits) < 4000 else 0
-    k = round(math.log(v, 3)) if v else 0
-    if 3**k != v:
-        raise InputFormatError(f"line {lineno}: re_base {text} is not a power of 3")
-    return k
-
-
-def load_delta_csv(source) -> ZooModel:
-    """Rebuild an offset-form point set from a path or a text stream.
-
-    Every row must carry ``mult`` 1 and the first row's ``im``, which must
-    be finite and >= 0 (0 means the zeros are real).
-    """
-    lines = read_text(source).splitlines()
-    if not lines or DELTA_FLAG not in lines[0]:
-        raise InputFormatError(f"missing the {DELTA_FLAG} format flag line")
-    # the flag line and the re_base column headers hold no row
-    data = [""] + [line.split("#", 1)[0].strip() for line in lines[1:]]
-    data = ["" if row.startswith("re_base") else row for row in data]
-    table = read_rows(data, _ROW, "a re_base,delta_log3,im,mult row", lines)
-    linenos = [i for i, row in enumerate(data, start=1) if row]
-    if not linenos:
-        raise InputFormatError("no points in delta CSV")
-    rows = table.tolist()
-    height = rows[0][2]
-    ks: list[int] = []
-    for lineno, (base, dl, im, mult) in zip(linenos, rows):
-        k = _power_of_three(base, lineno)
-        if not dl < math.inf:
-            raise InputFormatError(f"line {lineno}: delta_log3 must be below inf, got {dl}")
-        if mult != 1:
-            raise InputFormatError(f"line {lineno}: mult must be 1, got {mult}")
-        if not 0 <= im < math.inf:
-            raise InputFormatError(f"line {lineno}: im must be finite and >= 0, got {im}")
-        if im != height:
-            raise InputFormatError(f"line {lineno}: im {im!r} differs from the first row's")
-        ks.append(k)
-    try:
-        return _offset_form(ks, table["delta_log3"].tolist(), height, None)
-    except OverflowError:
-        raise InputFormatError("an offset-form zero lies beyond the float range") from None

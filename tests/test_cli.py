@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stripzeros
-from stripzeros import SampledFunction, load_zero_set
+from stripzeros import SampledFunction, load_zero_set, referee_example2, shift_to_strip
 from stripzeros.cli import main
 
 
@@ -178,15 +178,20 @@ def test_zoo_export_then_density(tmp_path, capsys):
     assert float(out.strip().splitlines()[1].split(",")[2]) == 1.0
 
 
-def test_zoo_example2_emits_delta_format(tmp_path, capsys):
+@pytest.mark.parametrize("shift", ["1", "0.37"])
+@pytest.mark.parametrize("k_max", [8, 40, 45])  # 3^40 fits uint64, 3^41 does not
+def test_zoo_example2_export_reads_back_bytewise(tmp_path, capsys, k_max, shift):
+    # the plain CSV holds every rounded 3^k - 3^delta_log3 exactly
     out_path = tmp_path / "ex2.csv"
-    code, _, _ = run(
-        capsys, "zoo", "--model", "example2", "--K", "8", "--out", str(out_path)
+    code, out, _ = run(
+        capsys, "zoo", "--model", "example2", "--K", str(k_max), "--shift", shift,
+        "--out", str(out_path),
     )
-    assert code == 0
-    text = out_path.read_text()
-    assert text.splitlines()[0].startswith("# format: delta-log3")
-    assert "re_base,delta_log3,im,mult" in text.splitlines()[1]
+    assert code == 0 and out == ""
+    back = load_zero_set(str(out_path))
+    model = shift_to_strip(referee_example2(k_max), float(shift)).zeros
+    for name in ("res", "ims", "mults"):
+        assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
 
 
 def test_density_consumes_example2_export(tmp_path, capsys):
@@ -365,6 +370,14 @@ def test_verify_theorem_unknown_model(capsys):
         (["verify-theorem", "--model", "sine"], "verify-theorem needs --K"),
         # an empty path is not stdout
         (["zoo", "--model", "sine", "--K", "3", "--out", ""], "No such file or directory: ''"),
+        (
+            ["density", "--zeros", "no-such-zeros.csv", "--radii", "1"],
+            "No such file or directory: 'no-such-zeros.csv'",
+        ),
+        (
+            ["phi", "--zeros", "no-such-zeros.csv", "--grid", "0:1:3"],
+            "No such file or directory: 'no-such-zeros.csv'",
+        ),
     ],
     ids=["grid-negative-n", "grid-inf-origin", "grid-end-overflow", "K-inf", "K-nan",
          "K-fraction", "K-fraction-in-list", "zero-nan", "zero-inf", "thresholds-nan",
@@ -374,7 +387,8 @@ def test_verify_theorem_unknown_model(capsys):
          "zero-with-zeros", "zoo-K-list", "truncation-sine", "truncation-example2",
          "truncation-verify-cluster", "shift-not-a-number", "zero-im-0", "grid-missing",
          "density-no-zeros", "density-no-radii", "phi-no-input", "hilbert-no-input",
-         "bmo-no-input", "bmo-no-lengths", "verify-no-model", "verify-no-K", "out-empty"],
+         "bmo-no-input", "bmo-no-lengths", "verify-no-model", "verify-no-K", "out-empty",
+         "zeros-missing-density", "zeros-missing-phi"],
 )
 def test_bad_numbers_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -383,13 +397,45 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     assert "input error: " in err and message in err
 
 
-def test_density_rejects_real_offset_form_points(tmp_path, capsys):
-    zeros = tmp_path / "real.csv"
-    zeros.write_text("# format: delta-log3\nre_base,delta_log3,im,mult\n9,-1.0,0.0,1\n")
-    code, out, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "1")
+@pytest.mark.parametrize(
+    "argv",
+    [["density", "--radii", "1"], ["phi", "--grid", "0:1:3"]],
+    ids=["density", "phi"],
+)
+def test_offset_form_file_exits_2(tmp_path, capsys, argv):
+    # the retired `# format: delta-log3` export is no zero-set file
+    zeros = tmp_path / "ex2.csv"
+    zeros.write_text("# format: delta-log3\nre_base,delta_log3,im,mult\n9,-1.0,1.0,1\n")
+    code, out, err = run(capsys, *argv, "--zeros", str(zeros))
     assert code == 2
     assert out == ""
-    assert "offset-form points carry im=0" in err
+    assert err == (
+        "input error: line 2: expected a re,im[,mult] row of numbers, "
+        "got 're_base,delta_log3,im,mult'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zoo", "--model", "example2", "--K", "647"], "k_max must be >= 2 and <= 646, got 647"),
+        (
+            ["verify-theorem", "--model", "example2", "--K", "10,700"],
+            "k_max must be >= 2 and <= 646, got 700",
+        ),
+        (
+            ["zoo", "--model", "cluster", "--K", "9300000000000000000"],
+            "count must be >= 1 and < 2^63, got 9300000000000000000",
+        ),
+    ],
+    ids=["example2-k-overflow", "verify-example2-k-overflow", "cluster-count-int64"],
+)
+def test_model_range_exits_3(capsys, argv, message):
+    # these used to end in an OverflowError traceback with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"numeric precondition failed: {message}\n"
 
 
 def test_hilbert_input_late_header_exits_2(tmp_path, capsys):

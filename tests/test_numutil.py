@@ -59,24 +59,22 @@ def test_read_rows_reports_the_first_bad_line(bad):
     lines = [f"{i}.5,{i}" for i in range(1000)]
     for k in (bad, 999):  # a second bad row after the first must not be the one named
         lines[k] = f"{k},x"
-    data = ["", *lines]  # the file's first line is no row
     message = f"^line {bad + 2}: expected an x,k row, got '{bad},x'$"
     with pytest.raises(InputFormatError, match=message):
-        read_rows(data, ROW, "an x,k row", ["head", *lines])
-    with pytest.raises(InputFormatError, match=f"^line {bad + 2}: "):
-        read_rows(lines, ROW, "an x,k row", ["head", *lines], first=1)
+        # the file's first line is no row
+        read_rows(["head", *lines], ROW, "an x,k row", first=1)
 
 
 def test_read_rows_of_no_rows_is_empty_without_a_warning():
     # loadtxt warns "input contained no data"; the reader leaves the verdict to its caller
     data = ["", "# comment", "#"]
-    rows = read_rows(data, ROW, "an x,k row", data)
+    rows = read_rows(data, ROW, "an x,k row")
     assert rows.shape == (0,) and rows.dtype == ROW
     data = ["1.5,2 # c", "", "-0.0, 3"]
-    assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]
+    assert read_rows(data, ROW, "an x,k row").tolist() == [(1.5, 2), (-0.0, 3)]
     # a line of spaces, or of spaces before a comment, is skipped too
     data = ["1.5,2", "  # c", "   ", "-0.0, 3"]
-    assert read_rows(data, ROW, "an x,k row", data).tolist() == [(1.5, 2), (-0.0, 3)]
+    assert read_rows(data, ROW, "an x,k row").tolist() == [(1.5, 2), (-0.0, 3)]
 
 
 def test_read_rows_rewrites_lines_only_after_a_failed_parse():
@@ -87,10 +85,10 @@ def test_read_rows_rewrites_lines_only_after_a_failed_parse():
         return line.strip()
 
     data = ["1.5,2 # c", "", "#", "-0.0, 3"]
-    assert read_rows(data, ROW, "an x,k row", data, rewrite=rewrite).tolist() == [
+    assert read_rows(data, ROW, "an x,k row", rewrite=rewrite).tolist() == [
         (1.5, 2), (-0.0, 3)]
     assert calls == []
     data = ["1.5,2 # c", "   ", "#", "-0.0, 3"]  # numpy rejects the line of spaces
-    assert read_rows(data, ROW, "an x,k row", data, rewrite=rewrite).tolist() == [
+    assert read_rows(data, ROW, "an x,k row", rewrite=rewrite).tolist() == [
         (1.5, 2), (-0.0, 3)]
     assert calls == data

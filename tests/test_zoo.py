@@ -1,20 +1,16 @@
 """Generated models: sine control, the two high-density families, shifts."""
 
-import io
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stripzeros import (
-    InputFormatError,
     PreconditionError,
     cluster_model,
     count_claim_check,
     hot_unit_window,
-    load_delta_csv,
     phi_sum,
     referee_example1,
     referee_example2,
@@ -23,7 +19,6 @@ from stripzeros import (
     shift_to_strip,
     sine_type_model,
     upper_density_profile,
-    write_delta_csv,
 )
 
 
@@ -232,7 +227,7 @@ def test_unshifted_offset_model_has_no_strip_zeros():
 
 
 # ----------------------------------------------------------------------
-# cluster helper and delta CSV
+# cluster helper and model preconditions
 
 
 def test_cluster_model_shape():
@@ -243,110 +238,12 @@ def test_cluster_model_shape():
     assert model.log_modulus(0.5) == pytest.approx(0.0)  # 12*log(1)/... log(h)=0
 
 
-def test_delta_csv_round_trip():
-    model = shift_to_strip(referee_example2(8), 1.0)
-    buf = io.StringIO()
-    write_delta_csv(model, buf)
-    text = buf.getvalue()
-    assert text.splitlines()[0].startswith("# format: delta-log3")
-    back = load_delta_csv(io.StringIO(text))
-    assert back.height == 1.0
-    assert back.k.tolist() == model.k.tolist()
-    assert back.delta_log3.tolist() == model.delta_log3.tolist()
-    assert back.zeros == model.zeros
-    count, ok = count_claim_check(back, 8)
-    assert (count, ok) == count_claim_check(model, 8)
-
-
 def test_count_claim_rejects_k_beyond_the_data():
-    # generated or imported, an offset-form model answers k <= its largest k
+    # an offset-form model answers k <= its largest k
     model = referee_example2(8)
-    buf = io.StringIO()
-    write_delta_csv(model, buf)
-    for m in (model, load_delta_csv(io.StringIO(buf.getvalue()))):
-        assert count_claim_check(m, 8) == count_claim_check(model, 8)
-        with pytest.raises(PreconditionError, match="k=9 beyond"):
-            count_claim_check(m, 9)
-
-
-@pytest.mark.parametrize("k_max", [40, 45])  # 3^40 fits uint64, 3^41 does not
-def test_delta_csv_writes_exact_bases_beyond_int64(k_max):
-    model = shift_to_strip(referee_example2(k_max), 1.0)
-    buf = io.StringIO()
-    write_delta_csv(model, buf)
-    rows = buf.getvalue().splitlines()[2:]
-    assert [r.split(",")[0] for r in rows] == [str(3**k) for k in model.k.tolist()]
-    assert load_delta_csv(io.StringIO(buf.getvalue())).k.tolist() == model.k.tolist()
-
-
-def _delta_csv(*rows):
-    return io.StringIO("# format: delta-log3\nre_base,delta_log3,im,mult\n" + "".join(rows))
-
-
-def test_delta_csv_rejects_a_changing_im():
-    with pytest.raises(InputFormatError, match="line 4: im 2.0 differs"):
-        load_delta_csv(_delta_csv("9,0.5,1.0,1\n", "27,0.5,2.0,1\n"))
-
-
-def test_delta_csv_rejects_negative_im():
-    with pytest.raises(InputFormatError, match="line 3: im must be finite and >= 0"):
-        load_delta_csv(_delta_csv("9,0.5,-1.0,1\n"))
-
-
-def test_delta_csv_rejects_multiple_zeros():
-    with pytest.raises(InputFormatError, match="line 3: mult must be 1, got 5"):
-        load_delta_csv(_delta_csv("9,0.5,1.0,5\n", "27,0.5,2.0,1\n"))
-
-
-def test_delta_csv_rejects_unbounded_offsets():
-    for dl in ("nan", "inf"):
-        with pytest.raises(InputFormatError, match="line 3: delta_log3 must be below inf"):
-            load_delta_csv(_delta_csv(f"9,{dl},1.0,1\n"))
-    with pytest.raises(InputFormatError, match="beyond the float range"):
-        load_delta_csv(_delta_csv("9,1000,1.0,1\n"))
-
-
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        (["9,0.5,1.0,1\n", "10,0.5,1.0,1\n"], "line 4: re_base 10 is not a power of 3"),
-        (["9,0.5,1.0,1\n", "abc,0.5,1.0,1\n"], "line 4: re_base abc is not a power of 3"),
-        (["2_7,0.5,1.0,1\n"], "line 3: re_base 2_7 is not a power of 3"),
-        (["\u0669,0.5,1.0,1\n"], "line 3: re_base \u0669 is not a power of 3"),
-        (["9,0.5,1.0\n"], "line 3: expected a re_base,delta_log3,im,mult row, got '9,0.5,1.0'"),
-        (["9,0.5,1.0,1.0\n"], "line 3: expected a re_base,delta_log3,im,mult row"),
-        (["\n", "# c\n", "re_base,delta_log3,im,mult\n", "  9,0.5,1.0,1 # x\n",
-          "27,1_0,1.0,1\n"], "line 7: expected a re_base,delta_log3,im,mult row"),
-        (["\n", "# c\n", "9,0.5,1.0,1\n", "27,0.5,2.0,1 # x\n"],
-         "line 6: im 2.0 differs from the first row's"),
-        (["# only a comment\n"], "no points in delta CSV"),
-    ],
-    ids=["not-a-power", "not-a-number", "underscore", "non-ascii", "three-fields",
-         "float-mult", "after-comments", "differs-after-comments", "no-rows"],
-)
-def test_delta_csv_reports_file_lines(rows, message):
-    with pytest.raises(InputFormatError, match="^" + re.escape(message)):
-        load_delta_csv(_delta_csv(*rows))
-
-
-def test_delta_csv_needs_its_flag_line():
-    for text in ("", "re_base,delta_log3,im,mult\n9,0.5,1.0,1\n"):
-        with pytest.raises(InputFormatError, match="missing the delta-log3 format flag line"):
-            load_delta_csv(io.StringIO(text))
-
-
-def test_imported_offset_points_have_no_log_modulus():
-    model = shift_to_strip(referee_example2(5), 1.0)
-    buf = io.StringIO()
-    write_delta_csv(model, buf)
-    back = load_delta_csv(io.StringIO(buf.getvalue()))
-    with pytest.raises(PreconditionError, match="carry no closed-form log-modulus"):
-        back.log_modulus(0.0)
-
-
-def test_delta_csv_missing_path(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_delta_csv(str(tmp_path / "missing.csv"))
+    assert count_claim_check(model, 8)[0] == brute_force_interval_count(8)
+    with pytest.raises(PreconditionError, match="k=9 beyond"):
+        count_claim_check(model, 9)
 
 
 def test_shift_requires_positive_h():
@@ -362,11 +259,16 @@ def test_shift_requires_positive_h():
         (lambda: referee_example1(0), "need at least one factor"),
         (lambda: referee_example1(2, window=0.0), "window must be positive"),
         (lambda: referee_example2(1), "k_max must be >= 2"),
+        # 3.0**647 overflows a float; the check runs before any zero is built
+        (lambda: referee_example2(647), "k_max must be >= 2 and <= 646, got 647"),
         (lambda: cluster_model(0), "count must be >= 1"),
+        # mult is int64 in a zero set
+        (lambda: cluster_model(2**63), "got 9223372036854775808"),
         (lambda: cluster_model(3, height=math.nan), "height must be positive"),
     ],
     ids=["sine-height", "sine-truncation", "example1-factors", "example1-window",
-         "example2-k-max", "cluster-count", "cluster-height"],
+         "example2-k-max", "example2-k-max-overflow", "cluster-count",
+         "cluster-count-int64", "cluster-height"],
 )
 def test_builders_reject_bad_arguments(build, message):
     with pytest.raises(PreconditionError, match=message):
@@ -378,9 +280,8 @@ def test_builders_reject_bad_arguments(build, message):
     [
         (lambda: count_claim_check(sine_type_model(1.0), 3), "offset-form models only"),
         (lambda: hot_unit_window(referee_example1(2)), "shift it first"),
-        (lambda: write_delta_csv(sine_type_model(1.0), io.StringIO()), "only offset-form"),
     ],
-    ids=["count-claim", "hot-window-unshifted", "write-delta"],
+    ids=["count-claim", "hot-window-unshifted"],
 )
 def test_model_operations_reject_inapplicable_models(call, message):
     with pytest.raises(PreconditionError, match=message):
