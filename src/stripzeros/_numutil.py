@@ -36,10 +36,20 @@ def evaluate_on_grid(f: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 def read_text(source) -> str:
-    """Contents of ``source``, a path or a readable text stream."""
+    """Contents of ``source``, a path read as UTF-8 or a readable text stream.
+
+    A file that is not UTF-8 raises ``InputFormatError`` naming the line
+    of its first bad byte.
+    """
     if hasattr(source, "read"):
         return source.read()
-    return Path(source).read_text()
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the whole file is decoded in one call, so exc.start is a file offset
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        bad = exc.object[exc.start : exc.end]
+        raise InputFormatError(f"line {line}: not UTF-8 text, got bytes {bad!r}") from None
 
 
 def _blank_spaces(line: str) -> str:

@@ -6,7 +6,7 @@ The CLI maps :class:`InputFormatError` to exit code 2 and
 
 
 class InputFormatError(ValueError):
-    """Malformed input data: unparsable CSV/JSON, bad field values."""
+    """Malformed input data: unparsable CSV, bad field values."""
 
 
 class PreconditionError(ValueError):

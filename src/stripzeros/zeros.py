@@ -11,7 +11,6 @@ deterministic and safe to compute concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,6 +58,7 @@ class ZeroSet:
 
         ``re`` must be finite, ``im`` finite and positive, ``mult`` integral
         and at least 1; the first offending row raises ``InputFormatError``.
+        A total multiplicity of 2^63 or more raises ``PreconditionError``.
         """
         re = np.asarray(re, dtype=float)
         im = np.asarray(im, dtype=float)
@@ -68,7 +68,10 @@ class ZeroSet:
         if re.size == 0:
             raise PreconditionError("a ZeroSet needs at least one point")
         m = mult.astype(float)
-        whole = (m >= 1) & (m == np.floor(m)) & (m < 2.0**63)  # below 2^63: fits int64
+        # int64 fits below 2^63; integer dtypes compare exactly, as near 2^63
+        # their float casts round up to it
+        fits = mult <= 2**63 - 1 if mult.dtype.kind in "iu" else m < 2.0**63
+        whole = (m >= 1) & (m == np.floor(m)) & fits
         checks = (
             ("re must be finite", re, np.isfinite(re)),
             ("im must be positive and finite", im, np.isfinite(im) & (im > 0)),
@@ -90,8 +93,12 @@ class ZeroSet:
         self._re = re[order]
         self._im = im[order]
         self._mult = mult[order].astype(np.int64)
-        # prefix sums of multiplicity for O(log n) window counts
+        # prefix sums of multiplicity for O(log n) window counts; each mult is
+        # below 2^63, so a partial sum past the int64 range wraps negative
         self._cum = np.concatenate(([0], np.cumsum(self._mult)))
+        if self._cum.min() < 0:
+            total = sum(self._mult.tolist())
+            raise PreconditionError(f"total multiplicity must be < 2^63, got {total}")
         for a in (self._re, self._im, self._mult, self._cum):
             a.flags.writeable = False
         self.alpha = float(self._im.min())
@@ -156,49 +163,21 @@ class DensityProfile:
 
 
 def load_zero_set(source) -> ZeroSet:
-    """Read a zero set from CSV (``re,im[,mult]`` rows) or a JSON array.
+    """Read a zero set from CSV ``re,im[,mult]`` rows.
 
-    ``source`` is a path or a text stream.  CSV goes through the one CSV
-    reader, :func:`read_rows`.  JSON input is an array of objects
-    ``{"re": ..., "im": ..., "mult": ...}`` (``mult`` optional, an integer).
-    A row that :class:`ZeroSet` rejects is reported by its line (CSV) or
-    record (JSON) number.
+    ``source`` is a path (read as UTF-8) or a text stream.  Rows go
+    through the one CSV reader, :func:`read_rows`.  A row that
+    :class:`ZeroSet` rejects is reported by its file line.
     """
-    text = read_text(source)
-    stripped = text.lstrip()
-    if not stripped:
-        raise InputFormatError("empty zero-set input")
-    if stripped[0] == "[":
-        unit = "record"
-        try:
-            records = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"bad JSON: {exc}") from None
-        res, ims, mults = [], [], []
-        for i, rec in enumerate(records):
-            try:
-                res.append(float(rec["re"]))
-                ims.append(float(rec["im"]))
-                mult = rec.get("mult", 1)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"record {i}: {exc}") from None
-            if isinstance(mult, bool) or not isinstance(mult, (int, float)):
-                raise InputFormatError(f"record {i}: mult must be an integer, got {mult!r}")
-            mults.append(mult)
-    else:
-        unit = "line"
-        lines = text.splitlines()
-        table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", rewrite=_with_mult)
-        res, ims, mults = table["re"], table["im"], table["mult"]
-    if len(res) == 0:
+    lines = read_text(source).splitlines()
+    table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", rewrite=_with_mult)
+    if table.size == 0:
         raise InputFormatError("empty zero-set input")
     try:
-        return ZeroSet(res, ims, mults)
+        return ZeroSet(table["re"], table["im"], table["mult"])
     except _BadZero as exc:
-        n = exc.row  # a record number, or the n-th line that holds a row
-        if unit == "line":
-            n = [i for i, line in enumerate(lines, start=1) if _with_mult(line)][n]
-        raise InputFormatError(f"{unit} {n}: {exc.reason}") from None
+        n = [i for i, line in enumerate(lines, start=1) if _with_mult(line)][exc.row]
+        raise InputFormatError(f"line {n}: {exc.reason}") from None
 
 
 def _with_mult(line: str) -> str:

@@ -415,6 +415,56 @@ def test_offset_form_file_exits_2(tmp_path, capsys, argv):
     )
 
 
+# a zero-set file, then a sampled file
+_NOT_UTF8 = b"0.5,1\n\xff\xfe,1\n"
+_SAMPLES_NOT_UTF8 = b"# t0=0 h=1 n=2\nt,value\n0,1\n1,\xff\n"
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["density", "--radii", "1", "--zeros"], _NOT_UTF8,
+         "line 2: not UTF-8 text, got bytes b'\\xff'"),
+        (["phi", "--grid", "0:1:3", "--zeros"], _NOT_UTF8,
+         "line 2: not UTF-8 text, got bytes b'\\xff'"),
+        (["bmo", "--lengths", "1:2", "--input"], _SAMPLES_NOT_UTF8,
+         "line 4: not UTF-8 text, got bytes b'\\xff'"),
+        (["hilbert", "--input"], _SAMPLES_NOT_UTF8,
+         "line 4: not UTF-8 text, got bytes b'\\xff'"),
+        # JSON records are no zero-set format
+        (["density", "--radii", "1", "--zeros"], b'[{"re": 0, "im": 1}]\n',
+         "line 1: expected a re,im[,mult] row of numbers, got '[{\"re\": 0, \"im\": 1}]'"),
+    ],
+    ids=["density-not-utf8", "phi-not-utf8", "bmo-not-utf8", "hilbert-not-utf8",
+         "density-json"],
+)
+def test_bad_input_file_exits_2(tmp_path, capsys, argv, data, message):
+    # a non-UTF-8 file used to end in a UnicodeDecodeError traceback with exit 1
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_density_counts_mult_to_the_int64_limit(tmp_path, capsys):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0.5,1,9223372036854775807\n")
+    code, out, _ = run(capsys, "density", "--zeros", str(zeros), "--radii", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "1.0,9223372036854775807,9.223372036854776e+18,0.5"
+    # a total past int64 used to wrap, and density printed a sup count of 5e18
+    zeros.write_text("0.5,1,5000000000000000000\n0.7,1,5000000000000000000\n")
+    code, out, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "1")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "numeric precondition failed: total multiplicity must be < 2^63, "
+        "got 10000000000000000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

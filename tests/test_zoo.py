@@ -236,6 +236,8 @@ def test_cluster_model_shape():
     zs = model.zeros
     assert (zs.res.tolist(), zs.ims.tolist(), zs.mults.tolist()) == ([0.5], [1.0], [12])
     assert model.log_modulus(0.5) == pytest.approx(0.0)  # 12*log(1)/... log(h)=0
+    # the largest int64 count: its float cast rounds to 2^63, which used to reject it
+    assert cluster_model(2**63 - 1).zeros.weight == 2**63 - 1
 
 
 def test_count_claim_rejects_k_beyond_the_data():
