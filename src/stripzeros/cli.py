@@ -61,10 +61,17 @@ def _parse_increasing(text: str | None, what: str) -> list[float]:
 
 
 def _parse_ks(text: str | None) -> list[int]:
+    """The integers in ``text``: a decimal integer exactly, else by the float rule."""
     ks = _parse_floats(text, "--K needs integers")
     if not all(k.is_integer() for k in ks):
         raise InputFormatError(f"--K needs integers, got {text!r}")
-    return [int(k) for k in ks]
+    exact = []
+    for item, k in zip((text or "").split(","), ks):
+        try:
+            exact.append(int(item))
+        except ValueError:  # 2.0 or 1e3: an integral float
+            exact.append(int(k))
+    return exact
 
 
 def _grid_template(args: argparse.Namespace) -> SampledFunction:

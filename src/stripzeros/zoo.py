@@ -1,9 +1,9 @@
 """Model zero sets: a bounded-modulus control and two high-density families.
 
-The control is a vertically shifted sine, whose zeros are unit-spaced and
-whose log-modulus stays in a band of width ``log(cosh/sinh)``.  The two
-counterexample families have unit-window zero counts that grow without
-bound:
+The control is the zero set of the shifted sine ``sin(pi(z - ih))``:
+unit-spaced zeros, and a log-modulus that stays in a band of width
+``log(cosh/sinh)``.  The two counterexample families have unit-window
+zero counts that grow without bound:
 
 * ``referee_example1``: factors ``cos^n(z/n^3)``, so the factor-``n`` zeros
   at ``n^3*pi*(m+1/2)`` carry multiplicity ``n``.
@@ -15,10 +15,9 @@ bound:
   evaluated on ``delta``, never on the catastrophic float difference
   ``3^k - delta``.
 
-All generators are pure; ``ZooModel.log_modulus`` accepts scalars or numpy
-arrays.  ``zoo`` exports every model, ``example2`` too, as the plain
-``re,im,mult`` zero-set CSV of its float ``re``; the exact arrays stay in
-memory.
+All generators are pure.  ``zoo`` exports every model, ``example2`` too,
+as the plain ``re,im,mult`` zero-set CSV of its float ``re``; the exact
+arrays stay in memory.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -48,14 +46,22 @@ __all__ = [
 LOG3 = math.log(3.0)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a count that is not a whole number is an error."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(eq=False)
 class ZooModel:
-    """Zeros ``re + i*height`` (multiplicity ``mult``) and their log-modulus.
+    """Zeros ``re + i*height`` with multiplicity ``mult``.
 
     ``height`` is the common imaginary part of the zeros: 0 for the raw
-    counterexamples, whose zeros are real.  ``evaluator(x, height)`` is the
-    log-modulus for zeros at that height, in closed form per factor via
-    ``|cos(a+ib)|^2 = cos^2 a + sinh^2 b``.  Offset-form models
+    counterexamples, whose zeros are real.  Offset-form models
     (``referee_example2``) also keep the exact ``k`` and ``delta_log3``
     arrays of the zeros ``3^k - 3^delta_log3`` that ``re`` rounds; only
     ``re`` is exported, as for every model.
@@ -63,7 +69,6 @@ class ZooModel:
 
     re: np.ndarray
     height: float
-    evaluator: Callable[[np.ndarray, float], np.ndarray]
     mult: np.ndarray | None = None  # None: every zero is simple
     indicator_width: float = 0.0
     k: np.ndarray | None = None
@@ -76,57 +81,31 @@ class ZooModel:
             return None
         return ZeroSet(self.re, np.full(self.re.size, self.height), self.mult)
 
-    def log_modulus(self, x):
-        """``log|F(x)|`` at a scalar (a float) or an array of reals."""
-        xa = np.asarray(x, dtype=float)
-        out = self.evaluator(xa, self.height)
-        return float(out) if xa.ndim == 0 else out
-
-
-def _cosine_product(freqs, weights):
-    """Evaluator of ``log|F|`` for ``F = prod cos(c z)^w`` over the pairs ``(c, w)``.
-
-    Zeros at height ``height`` make each factor add
-    ``w * (1/2) log(cos^2(c x) + sinh^2(c height))``.
-    """
-
-    def log_modulus(x, height):
-        total = np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            for c, w in zip(freqs, weights):
-                total += w * 0.5 * np.log(np.cos(c * x) ** 2 + math.sinh(c * height) ** 2)
-        return total
-
-    return log_modulus
-
 
 def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
-    """Zeros ``n + ih`` for ``|n| <= truncation``; log-modulus in a band.
+    """Zeros ``n + ih`` for ``|n| <= truncation``: the bounded control.
 
-    ``|sin(pi(x - ih))|^2 = sin^2(pi x) + sinh^2(pi h)``, so the
-    log-modulus lies in ``[log sinh(pi h), log cosh(pi h)]`` for every real
-    ``x``.  The indicator-diagram width is ``2*pi``.
+    They are the zeros of ``sin(pi(z - ih))``, and
+    ``|sin(pi(x - ih))|^2 = sin^2(pi x) + sinh^2(pi h)``, so that
+    function's log-modulus lies in ``[log sinh(pi h), log cosh(pi h)]`` for
+    every real ``x``.  The indicator-diagram width is ``2*pi``.
     """
     if not h > 0:
         raise PreconditionError(f"height must be positive, got {h}")
+    truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise PreconditionError(f"truncation must be >= 0, got {truncation}")
-
-    def log_modulus(x, height):
-        return 0.5 * np.log(np.sin(math.pi * x) ** 2 + math.sinh(math.pi * height) ** 2)
-
     re = np.arange(-truncation, truncation + 1, dtype=float)
-    return ZooModel(re, h, log_modulus, indicator_width=2.0 * math.pi)
+    return ZooModel(re, h, indicator_width=2.0 * math.pi)
 
 
 def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
     """Truncation of the product of ``cos^n(z/n^3)`` over ``n <= factors``.
 
     Real zeros at ``n^3*pi*(m+1/2)`` with multiplicity ``n``, for all
-    positions inside ``[-window, window]``.  The unshifted evaluator is
-    ``-inf`` exactly at those zeros (the tagged-singularity convention);
-    shifting into the strip removes all real singularities.
+    positions inside ``[-window, window]``.
     """
+    factors = _integer(factors, "factors")
     if factors < 1:
         raise PreconditionError(f"need at least one factor, got {factors}")
     if not window > 0:
@@ -139,9 +118,7 @@ def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
         m_hi = math.floor(window / step - 0.5)
         re.extend(step * (m + 0.5) for m in range(m_lo, m_hi + 1))
         mult.extend([n] * (m_hi + 1 - m_lo))
-    ns = range(1, factors + 1)
-    log_modulus = _cosine_product([1.0 / n**3 for n in ns], ns)
-    return ZooModel(np.array(re), 0.0, log_modulus, mult=np.array(mult, dtype=np.int64))
+    return ZooModel(np.array(re), 0.0, mult=np.array(mult, dtype=np.int64))
 
 
 def referee_example2(k_max: int) -> ZooModel:
@@ -149,10 +126,10 @@ def referee_example2(k_max: int) -> ZooModel:
 
     ``delta(k, n) = 3^k / (3^(n^2-n) + 1)``, kept as ``log3 delta``; the
     sign of that log decides ``delta < 1`` exactly, which is the interval
-    predicate every count uses.  The evaluator sums the ``n <= k_max``
-    factors ``cos[(pi/2)(3^-n + 3^-n^2) x]``.  ``k_max`` stops at 646, the
-    last k whose ``3.0**k`` is a finite float.
+    predicate every count uses.  ``k_max`` stops at 646, the last k whose
+    ``3.0**k`` is a finite float.
     """
+    k_max = _integer(k_max, "k_max")
     if not 2 <= k_max <= 646:
         raise PreconditionError(f"k_max must be >= 2 and <= 646, got {k_max}")
     ks, delta_log3 = [], []
@@ -161,11 +138,9 @@ def referee_example2(k_max: int) -> ZooModel:
             correction = math.log1p(3.0 ** (n - n * n)) / LOG3
             ks.append(k)
             delta_log3.append((k - n * n + n) - correction)
-    freqs = [0.5 * math.pi * (3.0 ** (-n) + 3.0 ** (-n * n)) for n in range(1, k_max + 1)]
     # scalar float powers: numpy's differ from them by an ulp on some offsets
     re = np.array([3.0**k - 3.0**dl for k, dl in zip(ks, delta_log3)])
-    return ZooModel(re, 0.0, _cosine_product(freqs, [1] * k_max),
-                    k=np.array(ks, dtype=np.int64), delta_log3=np.array(delta_log3))
+    return ZooModel(re, 0.0, k=np.array(ks, dtype=np.int64), delta_log3=np.array(delta_log3))
 
 
 def cluster_model(count: int, height: float = 1.0) -> ZooModel:
@@ -173,19 +148,16 @@ def cluster_model(count: int, height: float = 1.0) -> ZooModel:
 
     ``count`` must fit the int64 ``mult`` of a zero set: ``1 <= count < 2^63``.
     """
+    count = _integer(count, "count")
     if not 1 <= count < 2**63:
         raise PreconditionError(f"count must be >= 1 and < 2^63, got {count}")
     if not height > 0:
         raise PreconditionError(f"height must be positive, got {height}")
-
-    def log_modulus(x, height):
-        return count * 0.5 * np.log((x - 0.5) ** 2 + height * height)
-
-    return ZooModel(np.array([0.5]), height, log_modulus, mult=np.array([count], dtype=np.int64))
+    return ZooModel(np.array([0.5]), height, mult=np.array([count], dtype=np.int64))
 
 
 def shift_to_strip(model: ZooModel, h: float) -> ZooModel:
-    """Raise every zero by ``h``; the evaluator follows the height."""
+    """Raise every zero by ``h``."""
     if not h > 0:
         raise PreconditionError(f"shift must be positive, got {h}")
     return replace(model, height=model.height + h)

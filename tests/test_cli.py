@@ -2,6 +2,7 @@
 
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 import stripzeros
-from stripzeros import SampledFunction, load_zero_set, referee_example2, shift_to_strip
+from stripzeros import (
+    SampledFunction,
+    load_zero_set,
+    referee_example2,
+    save_zero_set,
+    shift_to_strip,
+    sine_type_model,
+)
 from stripzeros.cli import main
 
 
@@ -32,6 +40,28 @@ def test_density_command(tmp_path, capsys):
     assert float(first[0]) == 10.0
     assert int(first[1]) == 10
     assert float(first[2]) == 1.0
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's "Command line" example block, on the
+    # zeros.csv and samples.csv it names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("stripzeros ")]
+    assert lines
+    save_zero_set(sine_type_model(1.0).zeros, str(tmp_path / "zeros.csv"))
+    # a step of 0.01 admits --lengths 0.04:50, and the grid covers [-100, 100]
+    SampledFunction.from_function(np.sin, -150.0, 0.01, 30001).to_csv(tmp_path / "samples.csv")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (line, err)
+        if "--out" in argv:
+            assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0, line
+        else:
+            assert out, line
 
 
 def test_density_empty_file_exits_2(tmp_path, capsys):
@@ -235,8 +265,6 @@ def test_zoo_round_trip_bit_exact(tmp_path, capsys):
     assert code == 0
     zs = load_zero_set(str(out_path))
     again = tmp_path / "again.csv"
-    from stripzeros import save_zero_set
-
     save_zero_set(zs, str(again))
     assert load_zero_set(str(again)) == zs
 
@@ -486,6 +514,20 @@ def test_model_range_exits_3(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert err == f"numeric precondition failed: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "k, row",
+    [
+        # float() rounded both: the first to ...992, the second to 2^63, which exited 3
+        ("9007199254740993", "0.5,1.0,9007199254740993"),
+        ("9223372036854775807", "0.5,1.0,9223372036854775807"),
+    ],
+    ids=["above-2^53", "int64-max"],
+)
+def test_zoo_cluster_count_is_exact(capsys, k, row):
+    code, out, err = run(capsys, "zoo", "--model", "cluster", "--K", k)
+    assert (code, out, err) == (0, row + "\n", "")
 
 
 def test_hilbert_input_late_header_exits_2(tmp_path, capsys):
