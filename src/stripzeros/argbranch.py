@@ -26,6 +26,8 @@ other input, NaN included, is a :class:`PreconditionError`.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +52,13 @@ TAIL_CONSTANT = 2.0
 
 # nodes per block of the branch kernel; zeros per block follow from BLOCK_ELEMS
 NODE_BLOCK = 4096
+
+# fewest zero blocks a thread of the branch kernel takes, so a node block of
+# fewer than 2*MIN_SHARE_BLOCKS zero blocks starts no thread
+MIN_SHARE_BLOCKS = 2
+
+# floats of partial sums each helper thread of the branch kernel holds
+HELD_ELEMS = 1 << 17
 
 # the input range of phi, phi_derivative and phi_sum; see the module docstring
 RANGE_MAX = 2.0**511
@@ -119,29 +128,108 @@ def phi_derivative(z: complex, t: float) -> float:
     return y / h / h
 
 
+def _kernel_cpus() -> int:
+    """CPUs of the process's affinity mask (the CPU count where it has none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block(res, ims, weights, t, i, rows, scratch, out) -> None:
+    """``out = weights[i:i+rows] @ atan2(y*t, y*y + x*(x - t))``.
+
+    The zeros are ``res + i*ims`` from index ``i``; the two temporaries
+    ``d`` and ``vals`` are built in place in the two rows of ``scratch``.
+    """
+    x = res[i : i + rows, None]
+    y = ims[i : i + rows, None]
+    shape = (x.shape[0], t.shape[1])
+    size = shape[0] * shape[1]
+    d = scratch[0, :size].reshape(shape)
+    vals = scratch[1, :size].reshape(shape)
+    np.subtract(x, t, out=d)
+    d *= x
+    d += y * y
+    np.multiply(y, t, out=vals)
+    np.arctan2(vals, d, out=vals)
+    np.matmul(weights[i : i + rows], vals, out=out)
+
+
+def _helper(res, ims, weights, t, starts, rows, scratch, held, errors, k) -> None:
+    """Partials of the zero blocks at ``starts`` into the rows of ``held``.
+
+    An exception is stored in ``errors[k]`` for the calling thread to raise.
+    """
+    try:
+        for n, i in enumerate(starts):
+            _block(res, ims, weights, t, i, rows, scratch, held[n, : t.shape[1]])
+    except BaseException as exc:
+        errors[k] = exc
+
+
 def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
     The zeros are ``res + i*ims``, and every input lies in the range of the
     module docstring, so no product overflows.  Work proceeds in blocks of
     up to ``NODE_BLOCK`` nodes by as many zeros as keep a block within
-    ``BLOCK_ELEMS`` elements, and blocks of zeros are added in order.
+    ``BLOCK_ELEMS`` elements.  Each zero block's partial sum
+    ``weights @ atan2(...)`` is added to the node block's sum in zero-block
+    order, whichever thread computed it, so every sum is the same sequence
+    of float operations for any number of CPUs.
+
+    The zero blocks of a node block are cut into contiguous shares, one per
+    CPU, each of at least ``MIN_SHARE_BLOCKS`` blocks.  The calling thread
+    computes the first share and adds each partial as it goes; a helper
+    thread per later share stores at most ``HELD_ELEMS`` floats of partials,
+    which the caller adds in block order once the helper is joined.  Zero
+    blocks beyond what the helpers can hold run in further rounds.  Every
+    helper is joined before this returns, and a helper's exception is
+    raised here.
     """
     acc = np.zeros(ts.size)
-    rows = max(1, BLOCK_ELEMS // min(ts.size, NODE_BLOCK))
+    cols = min(ts.size, NODE_BLOCK)
+    rows = max(1, BLOCK_ELEMS // cols)
+    starts = range(0, res.size, rows)
+    shares = max(1, min(_kernel_cpus(), len(starts) // MIN_SHARE_BLOCKS))
+    held_rows = max(1, HELD_ELEMS // cols)
+    # each round cuts its zero blocks into `shares` pieces of <= held_rows
+    pieces = shares * max(1, -(-len(starts) // (shares * held_rows)))
+    cuts = [len(starts) * m // pieces for m in range(pieces + 1)]
+    scratch = np.empty((shares, 2, rows * cols))
+    held = np.empty((shares - 1, held_rows, cols))
+    part = np.empty(cols)
     for j in range(0, ts.size, NODE_BLOCK):
         t = ts[None, j : j + NODE_BLOCK]
-        for i in range(0, res.size, rows):
-            x = res[i : i + rows, None]
-            y = ims[i : i + rows, None]
-            # d = y*y + x*(x - t) and vals = atan2(y*t, d), built in place so
-            # that a block holds two large temporaries
-            d = x - t
-            d *= x
-            d += y * y
-            vals = y * t
-            np.arctan2(vals, d, out=vals)
-            acc[j : j + NODE_BLOCK] += weights[i : i + rows] @ vals
+        sums = acc[j : j + NODE_BLOCK]
+        out = part[: t.shape[1]]
+        for p in range(0, pieces, shares):
+            own, *rest = (starts[a:b] for a, b in zip(cuts[p : p + shares], cuts[p + 1 :]))
+            errors = [None] * len(rest)
+            helpers = [
+                threading.Thread(
+                    target=_helper,
+                    args=(res, ims, weights, t, piece, rows, scratch[k + 1], held[k], errors, k),
+                )
+                for k, piece in enumerate(rest)
+            ]
+            started = []
+            try:
+                for helper in helpers:
+                    helper.start()
+                    started.append(helper)
+                for i in own:
+                    _block(res, ims, weights, t, i, rows, scratch[0], out)
+                    sums += out
+            finally:
+                for helper in started:
+                    helper.join()
+            for k, piece in enumerate(rest):
+                if errors[k] is not None:
+                    raise errors[k]
+                for n in range(len(piece)):
+                    sums += held[k, n, : t.shape[1]]
     return acc
 
 

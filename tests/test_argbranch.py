@@ -1,6 +1,8 @@
 """Argument branches: values, continuity, derivative, sums, growth windows."""
 
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -26,9 +28,14 @@ def branch_point(z):
     return (z.real**2 + z.imag**2) / z.real
 
 
-# branch-kernel block sizes to run the phi_sum tests under: the defaults, and
-# one zero by 7 nodes per block, so that sums cross zero and node blocks
-KERNEL_BLOCKS = [{}, {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7}]
+# branch-kernel block sizes to run the phi_sum tests under: the defaults,
+# one zero by 7 nodes per block, so that sums cross zero and node blocks, and
+# the same blocks on 3 CPUs, with helper threads that hold 40 partials each
+KERNEL_BLOCKS = [
+    {},
+    {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7},
+    {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7, "HELD_ELEMS": 7 * 40, "_kernel_cpus": lambda: 3},
+]
 
 
 def set_kernel_blocks(monkeypatch, blocks):
@@ -364,6 +371,99 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi(monkeypatch):
                 assert abs(v - ref) <= tol, (blocks, t, v, ref)
                 scalar = phi_sum(zs, float(t), radius).value
                 assert scalar == pytest.approx(ref, abs=tol), blocks
+
+
+def serial_branch_sum(res, ims, weights, ts):
+    """The branch kernel's sum on one thread: every zero block in order."""
+    acc = np.zeros(ts.size)
+    rows = max(1, argbranch.BLOCK_ELEMS // min(ts.size, argbranch.NODE_BLOCK))
+    for j in range(0, ts.size, argbranch.NODE_BLOCK):
+        t = ts[None, j : j + argbranch.NODE_BLOCK]
+        for i in range(0, res.size, rows):
+            x = res[i : i + rows, None]
+            y = ims[i : i + rows, None]
+            d = x - t
+            d *= x
+            d += y * y
+            vals = y * t
+            np.arctan2(vals, d, out=vals)
+            acc[j : j + argbranch.NODE_BLOCK] += weights[i : i + rows] @ vals
+    return acc
+
+
+@settings(deadline=None)
+@given(
+    zeros=st.lists(
+        st.tuples(
+            st.floats(-50.0, 50.0),
+            st.sampled_from([1e-3, 0.5, 1.0, 7.25, 300.0]),
+            st.integers(1, 2**40),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
+    node_block=st.integers(1, 16),
+    block_elems=st.integers(1, 40),
+    held_blocks=st.integers(1, 4),
+)
+def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
+    zeros, ts, node_block, block_elems, held_blocks
+):
+    # the partials of the zero blocks are added in block order whichever
+    # thread computed them, so the sum is the serial sum, bit for bit; helpers
+    # hold only `held_blocks` partials, so the blocks run in several rounds,
+    # and a short switch interval interleaves the threads finely
+    res, ims, mults = (np.array(col) for col in zip(*zeros))
+    ts = np.array(ts)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(argbranch, "NODE_BLOCK", node_block)
+        m.setattr(argbranch, "BLOCK_ELEMS", block_elems)
+        m.setattr(argbranch, "HELD_ELEMS", held_blocks * min(ts.size, node_block))
+        m.setattr(argbranch, "MIN_SHARE_BLOCKS", 1)
+        want = serial_branch_sum(res, ims, mults, ts).tobytes()
+        for cpus in (1, 2, 3):
+            m.setattr(argbranch, "_kernel_cpus", lambda: cpus)
+            sys.setswitchinterval(1e-6)
+            try:
+                got = argbranch._branch_sum(res, ims, mults, ts)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got.tobytes() == want, cpus
+
+
+def test_branch_sum_raises_a_helper_error_and_leaves_no_thread(monkeypatch):
+    # a helper's exception is raised by phi_sum, never a short sum; whichever
+    # thread fails, every helper is joined before phi_sum returns or raises
+    block = argbranch._block
+    zs = ZeroSet(np.linspace(-5.0, 5.0, 200), np.full(200, 0.5))
+    ts = np.linspace(-3.0, 3.0, 50)
+    monkeypatch.setattr(argbranch, "BLOCK_ELEMS", 50 * 4)
+    monkeypatch.setattr(argbranch, "_kernel_cpus", lambda: 3)
+    before = threading.active_count()
+    want = phi_sum(zs, ts, None).value
+    assert threading.active_count() == before
+
+    for failing in ("helper", "caller"):
+
+        def fail_in(*args, failing=failing):
+            helper = threading.current_thread() is not threading.main_thread()
+            if helper == (failing == "helper"):
+                raise ArithmeticError(f"{failing} failed")
+            block(*args)
+
+        monkeypatch.setattr(argbranch, "_block", fail_in)
+        with pytest.raises(ArithmeticError, match=f"{failing} failed"):
+            phi_sum(zs, ts, None)
+        assert threading.active_count() == before
+    monkeypatch.setattr(argbranch, "_block", block)
+    assert phi_sum(zs, ts, None).value.tobytes() == want.tobytes()
+    assert threading.active_count() == before
+    # fewer than 2*MIN_SHARE_BLOCKS zero blocks, as for one zero, start no thread
+    monkeypatch.setattr(threading, "Thread", None)
+    phi_sum(ZeroSet([0.5], [1.0]), ts, None)
+    phi_sum(ZeroSet(np.linspace(-5.0, 5.0, 12), np.full(12, 0.5)), ts, None)
 
 
 def test_phi_sum_truncation_radius_gate():

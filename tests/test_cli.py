@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import stripzeros
+from stripzeros import argbranch
 from stripzeros import (
     SampledFunction,
     load_zero_set,
@@ -257,6 +258,42 @@ def test_verify_theorem_stdout_ends_with_control_line(capsys):
     assert lines[3].startswith("# control sine-type (N=200) bound: ")
     assert float(lines[3].rsplit(" ", 1)[1]) > 0
     assert lines[4:] == [""]  # the control line ends the output
+
+
+# the argv of the benchmark's divergence jobs: the families of the
+# acceptance gate and example1
+VERIFY_FAMILIES = [
+    ["--model", "cluster", "--K", "12,60,120,240", "--thresholds", "1,4,9,19"],
+    ["--model", "example1", "--K", "5,10,20"],
+    ["--model", "example2", "--K", "10,15,20,25,30", "--thresholds", "5"],
+    ["--model", "sine", "--K", "400,1600"],
+]
+
+
+def test_outputs_are_bit_identical_on_any_cpu_count(tmp_path, monkeypatch, capsys):
+    # the branch kernel adds its zero blocks' partial sums in one order on
+    # any number of CPUs, so the scan and phi print the same bytes on one CPU,
+    # on this host's CPUs and on three
+    zeros = tmp_path / "zeros.csv"
+    code, _, _ = run(
+        capsys, "zoo", "--model", "sine", "--K", "10000", "--shift", "0.75",
+        "--out", str(zeros),
+    )
+    assert code == 0
+    jobs = [["verify-theorem", *argv] for argv in VERIFY_FAMILIES]
+    jobs.append(["phi", "--zeros", str(zeros), "--grid=-30:0.05:1201"])
+    outputs = []
+    for cpus in (1, argbranch._kernel_cpus(), 3):
+        monkeypatch.setattr(argbranch, "_kernel_cpus", lambda: cpus)
+        runs = []
+        for argv in jobs:
+            out = tmp_path / "out.csv"
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+            assert code == 0, (argv, err)
+            runs.append((stdout, err, out.read_bytes()))
+        outputs.append(runs)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_zoo_round_trip_bit_exact(tmp_path, capsys):
