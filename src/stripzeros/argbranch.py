@@ -54,7 +54,8 @@ TAIL_CONSTANT = 2.0
 NODE_BLOCK = 4096
 
 # fewest zero blocks a thread of the branch kernel takes, so a node block of
-# fewer than 2*MIN_SHARE_BLOCKS zero blocks starts no thread
+# fewer than 2*MIN_SHARE_BLOCKS zero blocks starts no thread: on a 2-CPU host
+# a helper for a node block of 2 or 3 zero blocks costs more than it saves
 MIN_SHARE_BLOCKS = 2
 
 # floats of partial sums each helper thread of the branch kernel holds
