@@ -181,19 +181,21 @@ def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     of float operations for any number of CPUs.
 
     The zero blocks of a node block are cut into contiguous shares, one per
-    CPU, each of at least ``MIN_SHARE_BLOCKS`` blocks.  The calling thread
-    computes the first share and adds each partial as it goes; a helper
-    thread per later share stores at most ``HELD_ELEMS`` floats of partials,
-    which the caller adds in block order once the helper is joined.  Zero
-    blocks beyond what the helpers can hold run in further rounds.  Every
-    helper is joined before this returns, and a helper's exception is
-    raised here.
+    CPU, each of at least ``MIN_SHARE_BLOCKS`` blocks; a single node takes
+    one share.  The calling thread computes the first share and adds each
+    partial as it goes; a helper thread per later share stores at most
+    ``HELD_ELEMS`` floats of partials, which the caller adds in block order
+    once the helper is joined.  Zero blocks beyond what the helpers can
+    hold run in further rounds.  Every helper is joined before this
+    returns, and a helper's exception is raised here.
     """
     acc = np.zeros(ts.size)
     cols = min(ts.size, NODE_BLOCK)
     rows = max(1, BLOCK_ELEMS // cols)
     starts = range(0, res.size, rows)
-    shares = max(1, min(_kernel_cpus(), len(starts) // MIN_SHARE_BLOCKS))
+    # one node: a block's product is one long dot, which BLAS already threads
+    cpus = _kernel_cpus() if cols > 1 else 1
+    shares = max(1, min(cpus, len(starts) // MIN_SHARE_BLOCKS))
     held_rows = max(1, HELD_ELEMS // cols)
     # each round cuts its zero blocks into `shares` pieces of <= held_rows
     pieces = shares * max(1, -(-len(starts) // (shares * held_rows)))

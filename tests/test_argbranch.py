@@ -464,6 +464,10 @@ def test_branch_sum_raises_a_helper_error_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", None)
     phi_sum(ZeroSet([0.5], [1.0]), ts, None)
     phi_sum(ZeroSet(np.linspace(-5.0, 5.0, 12), np.full(12, 0.5)), ts, None)
+    # nor does one node, whatever the number of zero blocks
+    many = ZeroSet(np.linspace(-5.0, 5.0, 2000), np.full(2000, 0.5))
+    phi_sum(many, 1.0, None)
+    phi_sum(many, np.array([1.0]), None)
 
 
 def test_phi_sum_truncation_radius_gate():
