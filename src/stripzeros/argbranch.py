@@ -50,16 +50,13 @@ __all__ = [
 # |phi_z(t)| <= TAIL_CONSTANT * |t| * y/|z|^2 once |z| > 2|t|; see phi_sum
 TAIL_CONSTANT = 2.0
 
-# nodes per block of the branch kernel; zeros per block follow from BLOCK_ELEMS
-NODE_BLOCK = 4096
+# fewest zeros per block of the branch kernel; nodes follow from BLOCK_ELEMS
+ZERO_BLOCK = 1024
 
-# fewest zero blocks a thread of the branch kernel takes, so a node block of
-# fewer than 2*MIN_SHARE_BLOCKS zero blocks starts no thread: on a 2-CPU host
-# a helper for a node block of 2 or 3 zero blocks costs more than it saves
+# fewest blocks' worth of zero-node pairs (BLOCK_ELEMS each) a thread of the
+# branch kernel takes: on a 2-CPU host a helper for a grid of fewer than
+# 2*MIN_SHARE_BLOCKS blocks' worth costs more than it saves, whatever its cut
 MIN_SHARE_BLOCKS = 2
-
-# floats of partial sums each helper thread of the branch kernel holds
-HELD_ELEMS = 1 << 17
 
 # the input range of phi, phi_derivative and phi_sum; see the module docstring
 RANGE_MAX = 2.0**511
@@ -137,34 +134,30 @@ def _kernel_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block(res, ims, weights, t, i, rows, scratch, out) -> None:
-    """``out = weights[i:i+rows] @ atan2(y*t, y*y + x*(x - t))``.
+def _node_blocks(res, ims, weights, ts, starts, rows, cols, scratch, acc, errors, k) -> None:
+    """Add ``sum_z weights_z * phi_z(t)`` to ``acc`` for the node blocks at ``starts``.
 
-    The zeros are ``res + i*ims`` from index ``i``; the two temporaries
-    ``d`` and ``vals`` are built in place in the two rows of ``scratch``.
-    """
-    x = res[i : i + rows, None]
-    y = ims[i : i + rows, None]
-    shape = (x.shape[0], t.shape[1])
-    size = shape[0] * shape[1]
-    d = scratch[0, :size].reshape(shape)
-    vals = scratch[1, :size].reshape(shape)
-    np.subtract(x, t, out=d)
-    d *= x
-    d += y * y
-    np.multiply(y, t, out=vals)
-    np.arctan2(vals, d, out=vals)
-    np.matmul(weights[i : i + rows], vals, out=out)
-
-
-def _helper(res, ims, weights, t, starts, rows, scratch, held, errors, k) -> None:
-    """Partials of the zero blocks at ``starts`` into the rows of ``held``.
-
-    An exception is stored in ``errors[k]`` for the calling thread to raise.
+    Each block of up to ``cols`` nodes from index ``j`` adds to
+    ``acc[j:j+cols]`` the partial ``atan2(y*t, y*y + x*(x - t)) @ weights``
+    of each block of ``rows`` zeros ``res + i*ims``, in zero-block order.
+    The temporaries ``d`` and ``vals`` and the partial are built in place
+    in ``scratch``.  An exception is stored in ``errors[k]``.
     """
     try:
-        for n, i in enumerate(starts):
-            _block(res, ims, weights, t, i, rows, scratch, held[n, : t.shape[1]])
+        part = scratch[2 * rows * cols :]
+        for j in starts:
+            t = ts[j : j + cols, None]
+            for i in range(0, res.size, rows):
+                x, y = res[i : i + rows], ims[i : i + rows]
+                size = t.size * x.size
+                d = scratch[:size].reshape(t.size, x.size)
+                vals = scratch[rows * cols : rows * cols + size].reshape(d.shape)
+                np.subtract(x, t, out=d)
+                d *= x
+                d += y * y
+                np.multiply(y, t, out=vals)
+                np.arctan2(vals, d, out=vals)
+                acc[j : j + cols] += np.matmul(vals, weights[i : i + rows], out=part[: t.size])
     except BaseException as exc:
         errors[k] = exc
 
@@ -173,66 +166,45 @@ def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
     The zeros are ``res + i*ims``, and every input lies in the range of the
-    module docstring, so no product overflows.  Work proceeds in blocks of
-    up to ``NODE_BLOCK`` nodes by as many zeros as keep a block within
-    ``BLOCK_ELEMS`` elements.  Each zero block's partial sum
-    ``weights @ atan2(...)`` is added to the node block's sum in zero-block
-    order, whichever thread computed it, so every sum is the same sequence
-    of float operations for any number of CPUs.
+    module docstring, so no product overflows.  The grid is cut into blocks
+    of ``cols`` nodes by ``rows`` zeros, at least ``ZERO_BLOCK`` zeros (or
+    all of them) and within ``BLOCK_ELEMS`` elements; the cut depends only
+    on the numbers of zeros and nodes.  Each node's sum is its zero blocks'
+    partials added in zero-block order, so it is the same sequence of float
+    operations whichever thread computes it and for any number of CPUs.
 
-    The zero blocks of a node block are cut into contiguous shares, one per
-    CPU, each of at least ``MIN_SHARE_BLOCKS`` blocks; a single node takes
-    one share.  The calling thread computes the first share and adds each
-    partial as it goes; a helper thread per later share stores at most
-    ``HELD_ELEMS`` floats of partials, which the caller adds in block order
-    once the helper is joined.  Zero blocks beyond what the helpers can
-    hold run in further rounds.  Every helper is joined before this
-    returns, and a helper's exception is raised here.
+    The node blocks go round-robin to the calling thread and one helper
+    thread per further CPU, each writing only its own slices of the sum;
+    there are no more threads than node blocks, nor than multiples of
+    ``MIN_SHARE_BLOCKS * BLOCK_ELEMS`` zero-node pairs.  Every helper is
+    joined before this returns, and its exception is raised here.
     """
     acc = np.zeros(ts.size)
-    cols = min(ts.size, NODE_BLOCK)
-    rows = max(1, BLOCK_ELEMS // cols)
-    starts = range(0, res.size, rows)
-    # one node: a block's product is one long dot, which BLAS already threads
-    cpus = _kernel_cpus() if cols > 1 else 1
-    shares = max(1, min(cpus, len(starts) // MIN_SHARE_BLOCKS))
-    held_rows = max(1, HELD_ELEMS // cols)
-    # each round cuts its zero blocks into `shares` pieces of <= held_rows
-    pieces = shares * max(1, -(-len(starts) // (shares * held_rows)))
-    cuts = [len(starts) * m // pieces for m in range(pieces + 1)]
-    scratch = np.empty((shares, 2, rows * cols))
-    held = np.empty((shares - 1, held_rows, cols))
-    part = np.empty(cols)
-    for j in range(0, ts.size, NODE_BLOCK):
-        t = ts[None, j : j + NODE_BLOCK]
-        sums = acc[j : j + NODE_BLOCK]
-        out = part[: t.shape[1]]
-        for p in range(0, pieces, shares):
-            own, *rest = (starts[a:b] for a, b in zip(cuts[p : p + shares], cuts[p + 1 :]))
-            errors = [None] * len(rest)
-            helpers = [
-                threading.Thread(
-                    target=_helper,
-                    args=(res, ims, weights, t, piece, rows, scratch[k + 1], held[k], errors, k),
-                )
-                for k, piece in enumerate(rest)
-            ]
-            started = []
-            try:
-                for helper in helpers:
-                    helper.start()
-                    started.append(helper)
-                for i in own:
-                    _block(res, ims, weights, t, i, rows, scratch[0], out)
-                    sums += out
-            finally:
-                for helper in started:
-                    helper.join()
-            for k, piece in enumerate(rest):
-                if errors[k] is not None:
-                    raise errors[k]
-                for n in range(len(piece)):
-                    sums += held[k, n, : t.shape[1]]
+    rows = max(1, min(res.size, max(ZERO_BLOCK, BLOCK_ELEMS // ts.size)))
+    cols = max(1, BLOCK_ELEMS // rows)
+    starts = range(0, ts.size, cols)
+    share_pairs = MIN_SHARE_BLOCKS * BLOCK_ELEMS
+    shares = max(1, min(_kernel_cpus(), len(starts), res.size * ts.size // share_pairs))
+    # allocated here, not in the helpers, which would raise the peak RSS
+    scratch = np.empty((shares, 2 * rows * cols + cols))
+    errors = [None] * shares
+    args = [
+        (res, ims, weights, ts, starts[k::shares], rows, cols, scratch[k], acc, errors, k)
+        for k in range(shares)
+    ]
+    helpers = [threading.Thread(target=_node_blocks, args=a) for a in args[1:]]
+    started = []
+    try:
+        for helper in helpers:
+            helper.start()
+            started.append(helper)
+        _node_blocks(*args[0])
+    finally:
+        for helper in started:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return acc
 
 

@@ -169,7 +169,7 @@ def load_zero_set(source) -> ZeroSet:
     through the one CSV reader, :func:`read_rows`.  A row that
     :class:`ZeroSet` rejects is reported by its file line.
     """
-    lines = read_text(source).splitlines()
+    lines = read_text(source).split("\n")
     table = read_rows(lines, _ROW, "a re,im[,mult] row of numbers", rewrite=_with_mult)
     if table.size == 0:
         raise InputFormatError("empty zero-set input")

@@ -29,12 +29,12 @@ def branch_point(z):
 
 
 # branch-kernel block sizes to run the phi_sum tests under: the defaults,
-# one zero by 7 nodes per block, so that sums cross zero and node blocks, and
-# the same blocks on 3 CPUs, with helper threads that hold 40 partials each
+# one zero by 7 nodes per block once there are 8 nodes, so that sums cross
+# zero and node blocks, and the same blocks on 3 CPUs, one node block a thread
 KERNEL_BLOCKS = [
     {},
-    {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7},
-    {"BLOCK_ELEMS": 1, "NODE_BLOCK": 7, "HELD_ELEMS": 7 * 40, "_kernel_cpus": lambda: 3},
+    {"BLOCK_ELEMS": 7, "ZERO_BLOCK": 1},
+    {"BLOCK_ELEMS": 7, "ZERO_BLOCK": 1, "MIN_SHARE_BLOCKS": 1, "_kernel_cpus": lambda: 3},
 ]
 
 
@@ -374,20 +374,21 @@ def test_phi_sum_array_matches_fsum_of_scalar_phi(monkeypatch):
 
 
 def serial_branch_sum(res, ims, weights, ts):
-    """The branch kernel's sum on one thread: every zero block in order."""
+    """The branch kernel's sum on one thread: per node block, every zero block in order."""
     acc = np.zeros(ts.size)
-    rows = max(1, argbranch.BLOCK_ELEMS // min(ts.size, argbranch.NODE_BLOCK))
-    for j in range(0, ts.size, argbranch.NODE_BLOCK):
-        t = ts[None, j : j + argbranch.NODE_BLOCK]
+    rows = max(1, min(res.size, max(argbranch.ZERO_BLOCK, argbranch.BLOCK_ELEMS // ts.size)))
+    cols = max(1, argbranch.BLOCK_ELEMS // rows)
+    for j in range(0, ts.size, cols):
+        t = ts[j : j + cols, None]
         for i in range(0, res.size, rows):
-            x = res[i : i + rows, None]
-            y = ims[i : i + rows, None]
+            x = res[i : i + rows]
+            y = ims[i : i + rows]
             d = x - t
             d *= x
             d += y * y
             vals = y * t
             np.arctan2(vals, d, out=vals)
-            acc[j : j + argbranch.NODE_BLOCK] += weights[i : i + rows] @ vals
+            acc[j : j + cols] += vals @ weights[i : i + rows]
     return acc
 
 
@@ -403,24 +404,21 @@ def serial_branch_sum(res, ims, weights, ts):
         max_size=80,
     ),
     ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
-    node_block=st.integers(1, 16),
     block_elems=st.integers(1, 40),
-    held_blocks=st.integers(1, 4),
+    zero_block=st.integers(1, 16),
 )
 def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
-    zeros, ts, node_block, block_elems, held_blocks
+    zeros, ts, block_elems, zero_block
 ):
-    # the partials of the zero blocks are added in block order whichever
-    # thread computed them, so the sum is the serial sum, bit for bit; helpers
-    # hold only `held_blocks` partials, so the blocks run in several rounds,
-    # and a short switch interval interleaves the threads finely
+    # each node's zero-block partials are added in block order by the one
+    # thread that owns its node block, so the sum is the serial sum, bit for
+    # bit; a short switch interval interleaves the threads finely
     res, ims, mults = (np.array(col) for col in zip(*zeros))
     ts = np.array(ts)
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(argbranch, "NODE_BLOCK", node_block)
         m.setattr(argbranch, "BLOCK_ELEMS", block_elems)
-        m.setattr(argbranch, "HELD_ELEMS", held_blocks * min(ts.size, node_block))
+        m.setattr(argbranch, "ZERO_BLOCK", zero_block)
         m.setattr(argbranch, "MIN_SHARE_BLOCKS", 1)
         want = serial_branch_sum(res, ims, mults, ts).tobytes()
         for cpus in (1, 2, 3):
@@ -436,33 +434,49 @@ def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
 def test_branch_sum_raises_a_helper_error_and_leaves_no_thread(monkeypatch):
     # a helper's exception is raised by phi_sum, never a short sum; whichever
     # thread fails, every helper is joined before phi_sum returns or raises
-    block = argbranch._block
+    block = argbranch._node_blocks
+    elems, zero_block = argbranch.BLOCK_ELEMS, argbranch.ZERO_BLOCK
     zs = ZeroSet(np.linspace(-5.0, 5.0, 200), np.full(200, 0.5))
     ts = np.linspace(-3.0, 3.0, 50)
-    monkeypatch.setattr(argbranch, "BLOCK_ELEMS", 50 * 4)
+    monkeypatch.setattr(argbranch, "ZERO_BLOCK", 4)
+    monkeypatch.setattr(argbranch, "BLOCK_ELEMS", 4 * 8)
     monkeypatch.setattr(argbranch, "_kernel_cpus", lambda: 3)
     before = threading.active_count()
     want = phi_sum(zs, ts, None).value
     assert threading.active_count() == before
 
+    class Failing:
+        def __init__(self, failing):
+            self.failing = failing
+
+        def __getitem__(self, key):
+            raise ArithmeticError(f"{self.failing} failed")
+
     for failing in ("helper", "caller"):
 
-        def fail_in(*args, failing=failing):
+        def fail_in(res, ims, weights, *rest, failing=failing):
+            # the block function fails inside, at its first read of the weights
             helper = threading.current_thread() is not threading.main_thread()
             if helper == (failing == "helper"):
-                raise ArithmeticError(f"{failing} failed")
-            block(*args)
+                weights = Failing(failing)
+            block(res, ims, weights, *rest)
 
-        monkeypatch.setattr(argbranch, "_block", fail_in)
+        monkeypatch.setattr(argbranch, "_node_blocks", fail_in)
         with pytest.raises(ArithmeticError, match=f"{failing} failed"):
             phi_sum(zs, ts, None)
         assert threading.active_count() == before
-    monkeypatch.setattr(argbranch, "_block", block)
+    monkeypatch.setattr(argbranch, "_node_blocks", block)
     assert phi_sum(zs, ts, None).value.tobytes() == want.tobytes()
     assert threading.active_count() == before
-    # fewer than 2*MIN_SHARE_BLOCKS zero blocks, as for one zero, start no thread
+    # at the default block sizes, one node block, as for one zero or 12 zeros,
+    # starts no thread, and neither do 3 node blocks of 1024 zeros by 32 nodes,
+    # fewer than 2*MIN_SHARE_BLOCKS blocks' worth of pairs
+    monkeypatch.setattr(argbranch, "ZERO_BLOCK", zero_block)
+    monkeypatch.setattr(argbranch, "BLOCK_ELEMS", elems)
     monkeypatch.setattr(threading, "Thread", None)
     phi_sum(ZeroSet([0.5], [1.0]), ts, None)
+    zs1024 = ZeroSet(np.linspace(-5.0, 5.0, 1024), np.full(1024, 0.5))
+    phi_sum(zs1024, np.linspace(-3.0, 3.0, 96), None)
     phi_sum(ZeroSet(np.linspace(-5.0, 5.0, 12), np.full(12, 0.5)), ts, None)
     # nor does one node, whatever the number of zero blocks
     many = ZeroSet(np.linspace(-5.0, 5.0, 2000), np.full(2000, 0.5))

@@ -50,6 +50,12 @@ def test_load_sorts_by_re():
 def test_load_reports_line_numbers():
     with pytest.raises(InputFormatError, match="line 3"):
         load_zero_set(io.StringIO("1,1\n# comment\nnot-a-number,2"))
+    # lines end at "\n" only, as in every reader: a form feed, or a line
+    # separator in a comment, neither starts a line nor ends a comment
+    with pytest.raises(InputFormatError, match="^line 3: "):
+        load_zero_set(io.StringIO("1,1\n2,1\x0c\n3,x\n"))
+    with pytest.raises(InputFormatError, match="^line 2: .*'3,x'"):
+        load_zero_set(io.StringIO("1,1 # a\u2028b\n3,x\n"))
 
 
 def test_load_empty_is_an_error():
