@@ -46,8 +46,10 @@ def read_text(source) -> str:
     try:
         return Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        # the whole file is decoded in one call, so exc.start is a file offset
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        # the whole file is decoded in one call, so exc.start is a file offset;
+        # lines end as in universal newlines mode: \n, \r\n or a lone \r
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         bad = exc.object[exc.start : exc.end]
         raise InputFormatError(f"line {line}: not UTF-8 text, got bytes {bad!r}") from None
 

@@ -141,22 +141,31 @@ def _node_blocks(res, ims, weights, ts, starts, rows, cols, scratch, acc, errors
     ``acc[j:j+cols]`` the partial ``atan2(y*t, y*y + x*(x - t)) @ weights``
     of each block of ``rows`` zeros ``res + i*ims``, in zero-block order.
     The temporaries ``d`` and ``vals`` and the partial are built in place
-    in ``scratch``.  An exception is stored in ``errors[k]``.
+    in ``scratch``.  A float ``ims`` is the one height of every zero: then
+    ``y*t`` is a column and ``y*y`` a scalar formed once per node block,
+    the same products as per pair.  An exception is stored in ``errors[k]``.
     """
     try:
         part = scratch[2 * rows * cols :]
+        one_height = np.ndim(ims) == 0
         for j in starts:
             t = ts[j : j + cols, None]
+            if one_height:
+                yt, yy = ims * t, ims * ims
             for i in range(0, res.size, rows):
-                x, y = res[i : i + rows], ims[i : i + rows]
+                x = res[i : i + rows]
                 size = t.size * x.size
                 d = scratch[:size].reshape(t.size, x.size)
                 vals = scratch[rows * cols : rows * cols + size].reshape(d.shape)
                 np.subtract(x, t, out=d)
                 d *= x
-                d += y * y
-                np.multiply(y, t, out=vals)
-                np.arctan2(vals, d, out=vals)
+                if one_height:
+                    d += yy
+                else:
+                    y = ims[i : i + rows]
+                    d += y * y
+                    yt = np.multiply(y, t, out=vals)
+                np.arctan2(yt, d, out=vals)
                 acc[j : j + cols] += np.matmul(vals, weights[i : i + rows], out=part[: t.size])
     except BaseException as exc:
         errors[k] = exc
@@ -165,8 +174,9 @@ def _node_blocks(res, ims, weights, ts, starts, rows, cols, scratch, acc, errors
 def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     """``sum_z weights_z * phi_z(t)`` at every node ``t`` of ``ts``.
 
-    The zeros are ``res + i*ims``, and every input lies in the range of the
-    module docstring, so no product overflows.  The grid is cut into blocks
+    The zeros are ``res + i*ims``, where ``ims`` is an array of heights or
+    one float shared by every zero, and every input lies in the range of
+    the module docstring, so no product overflows.  The grid is cut into blocks
     of ``cols`` nodes by ``rows`` zeros, at least ``ZERO_BLOCK`` zeros (or
     all of them) and within ``BLOCK_ELEMS`` elements; the cut depends only
     on the numbers of zeros and nodes.  Each node's sum is its zero blocks'
@@ -232,13 +242,10 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
         )
     keep = radii <= truncation_radius
     res, ims = zs.res[keep], zs.ims[keep]
-    _check_range(
-        float(np.abs(res).max(initial=0.0)),
-        float(ims.min(initial=np.inf)),
-        float(ims.max(initial=-np.inf)),
-        t_abs,
-    )
-    value = _branch_sum(res, ims, zs.mults[keep], ts.ravel())
+    y_lo, y_hi = float(ims.min(initial=np.inf)), float(ims.max(initial=-np.inf))
+    _check_range(float(np.abs(res).max(initial=0.0)), y_lo, y_hi, t_abs)
+    # zeros of one height (every zoo model's) take the kernel's one-height path
+    value = _branch_sum(res, y_lo if y_lo == y_hi else ims, zs.mults[keep], ts.ravel())
     omit = ~keep
     r = radii[omit]  # im/r/r: re**2 would overflow beyond |Re z| ~ 1.3e154
     remainder = float(np.sum(zs.ims[omit] / r / r * zs.mults[omit]))

@@ -228,15 +228,21 @@ def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile
     The count as a function of the anchor is piecewise constant with jumps
     at ``{re_i}`` and ``{re_i - r}``, and its sup is attained on that finite
     candidate set, so the scan is exact for finite data.  No limit in ``r``
-    is taken: the whole profile is reported.
+    is taken: the whole profile is reported.  The witness is the smallest
+    anchor of largest count; as ``0.0 == -0.0``, a witness of zero may
+    carry either sign.
     """
     entries = []
     for r in _validate_radii(radii):
-        anchors = np.unique(np.concatenate((zs.res, zs.res - r)))
-        counts = window_count(zs, anchors, r)
-        best = int(np.argmax(counts))
-        sup = int(counts[best])
-        entries.append(ProfileEntry(float(r), sup, sup / r, float(anchors[best])))
+        # each anchor array is sorted, so argmax finds its smallest best anchor
+        best = []
+        for anchors in (zs.res, zs.res - r):
+            counts = window_count(zs, anchors, r)
+            i = int(np.argmax(counts))
+            best.append((-int(counts[i]), float(anchors[i])))
+        count, witness = min(best)
+        sup = -count
+        entries.append(ProfileEntry(float(r), sup, sup / r, witness))
     return DensityProfile(tuple(entries))
 
 

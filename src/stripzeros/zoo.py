@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -216,8 +215,9 @@ def relative_zero_set(model: ZooModel, base: float | int) -> ZeroSet:
     if model.k is None:
         re = model.re - base
     else:
-        re = [
-            float((3**k - base) - Fraction(3.0**dl))
-            for k, dl in zip(model.k.tolist(), model.delta_log3.tolist())
-        ]
+        re = []
+        for k, dl in zip(model.k.tolist(), model.delta_log3.tolist()):
+            # int / int is correctly rounded, so this is the exact offset rounded once
+            n, d = (3.0**dl).as_integer_ratio()
+            re.append(((3**k - base) * d - n) / d)
     return ZeroSet(re, np.full(len(re), model.height), model.mult)

@@ -406,14 +406,21 @@ def serial_branch_sum(res, ims, weights, ts):
     ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
     block_elems=st.integers(1, 40),
     zero_block=st.integers(1, 16),
+    one_height=st.booleans(),
 )
 def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
-    zeros, ts, block_elems, zero_block
+    zeros, ts, block_elems, zero_block, one_height
 ):
     # each node's zero-block partials are added in block order by the one
     # thread that owns its node block, so the sum is the serial sum, bit for
-    # bit; a short switch interval interleaves the threads finely
+    # bit; a short switch interval interleaves the threads finely.  Zeros of
+    # one height, passed as one float, take the one-height path, whose sum
+    # is the serial sum over the full array of that height
     res, ims, mults = (np.array(col) for col in zip(*zeros))
+    heights = ims
+    if one_height:
+        heights = float(ims[0])
+        ims = np.full(ims.size, heights)
     ts = np.array(ts)
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as m:
@@ -425,10 +432,29 @@ def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
             m.setattr(argbranch, "_kernel_cpus", lambda: cpus)
             sys.setswitchinterval(1e-6)
             try:
-                got = argbranch._branch_sum(res, ims, mults, ts)
+                got = argbranch._branch_sum(res, heights, mults, ts)
             finally:
                 sys.setswitchinterval(interval)
             assert got.tobytes() == want, cpus
+
+
+def test_phi_sum_takes_the_one_height_path_when_the_kept_zeros_share_a_height(monkeypatch):
+    # the path follows the kept zeros: dropping the one higher zero leaves one height
+    kernel, seen = argbranch._branch_sum, []
+
+    def spy(res, ims, *rest):
+        seen.append(ims)
+        return kernel(res, ims, *rest)
+
+    monkeypatch.setattr(argbranch, "_branch_sum", spy)
+    zs = ZeroSet([0.0, 1.0, 2.0], [0.5, 0.5, 0.75])
+    ts = np.linspace(-1.0, 1.0, 5)
+    phi_sum(zs, ts, None)
+    phi_sum(zs, ts, 2.1)
+    phi_sum(ZeroSet([0.0, 1.0], [0.5, 0.5]), ts, None)
+    assert isinstance(seen[0], np.ndarray)
+    assert [type(h) for h in seen[1:]] == [float, float]
+    assert seen[1:] == [0.5, 0.5]
 
 
 def test_branch_sum_raises_a_helper_error_and_leaves_no_thread(monkeypatch):

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from stripzeros import InputFormatError
-from stripzeros._numutil import CSV_BLOCK, read_rows, write_csv
+from stripzeros import InputFormatError, load_zero_set
+from stripzeros._numutil import CSV_BLOCK, read_rows, read_text, write_csv
 
 
 def _written(header, *columns, footer=""):
@@ -92,3 +92,15 @@ def test_read_rows_rewrites_lines_only_after_a_failed_parse():
     assert read_rows(data, ROW, "an x,k row", rewrite=rewrite).tolist() == [
         (1.5, 2), (-0.0, 3)]
     assert calls == data
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_bad_byte_and_a_bad_row_name_the_same_line(tmp_path, end):
+    # a path is decoded with universal newlines, so a lone \r ends a line too
+    path = tmp_path / "zeros.csv"
+    path.write_bytes(end.join([b"1,1", b"2,1", b"3,\xff", b""]))
+    with pytest.raises(InputFormatError, match=r"^line 3: not UTF-8 text, got bytes b'\\xff'$"):
+        read_text(path)
+    path.write_bytes(end.join([b"1,1", b"2,1", b"3,x", b""]))
+    with pytest.raises(InputFormatError, match="^line 3: expected"):
+        load_zero_set(path)

@@ -344,6 +344,31 @@ def test_density_profile_matches_brute_force_count(rows, radii, probes):
         assert all(count(a, r) <= e.sup_count for a in probes)
 
 
+@settings(deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_ties | st.sampled_from([0.0, -0.0, 1e-300]), st.just(1.0), st.integers(1, 3)),
+        min_size=1,
+        max_size=30,
+    ),
+    radii=st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.25]) | st.floats(0.1, 12.0),
+                   min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_density_profile_matches_the_unique_anchor_scan(rows, radii):
+    # repeated re values make the two anchor sets share points; the witness
+    # is the smallest anchor of largest count, and a witness of zero compares
+    # by ==, since np.unique keeps either of 0.0 and -0.0
+    zs = ZeroSet(*_columns(rows))
+    for r, e in zip(radii, upper_density_profile(zs, radii).entries):
+        # the scan over the sorted union of both anchor sets
+        anchors = np.unique(np.concatenate((zs.res, zs.res - r)))
+        counts = window_count(zs, anchors, r)
+        best = int(np.argmax(counts))
+        sup = int(counts[best])
+        assert (e.sup_count, e.density) == (sup, sup / r)
+        assert e.witness == float(anchors[best])
+
+
 # ----------------------------------------------------------------------
 # window counts
 

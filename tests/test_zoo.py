@@ -160,7 +160,7 @@ def test_example2_relative_offsets_are_exact():
     assert cluster == pytest.approx(deltas, rel=1e-15)
 
 
-@pytest.mark.parametrize("k_max", [34, 36])
+@pytest.mark.parametrize("k_max", [10, 30, 34, 36])
 def test_example2_relative_offsets_beyond_float_integers(k_max):
     # 3^k is no longer a float for k >= 34; every offset must still be the
     # exact 3^k - 3^K - 3^delta_log3 rounded once
