@@ -138,10 +138,6 @@ class ZeroSet:
     def mults(self) -> np.ndarray:
         return self._mult
 
-    def expanded(self) -> "ZeroSet":
-        """The same multiset with every multiplicity written out as copies."""
-        return ZeroSet(np.repeat(self._re, self._mult), np.repeat(self._im, self._mult))
-
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -275,39 +271,39 @@ def separation_constant(zs: ZeroSet) -> float:
     return float(best)
 
 
-def decompose_uniformly_discrete(
-    zs: ZeroSet, delta: float
-) -> tuple[list[ZeroSet], int]:
+def _clear(members: list[int], res: list, ims: list, x: float, y: float, delta: float) -> bool:
+    """No member (sorted by re, none past ``x``) lies closer than ``delta`` to ``x + iy``."""
+    for j in reversed(members):
+        if x - res[j] >= delta:
+            return True
+        if math.hypot(x - res[j], y - ims[j]) < delta:
+            return False
+    return True
+
+
+def decompose_uniformly_discrete(zs: ZeroSet, delta: float) -> tuple[list[ZeroSet], int]:
     """Partition into classes with pairwise distances >= ``delta``.
 
-    Greedy first-fit over points sorted by re (multiplicities expanded to
-    repeated points).  Returns the classes and the certified class-count
-    bound: the max multiplicity-weighted count over windows of length
-    ``2*delta``.  When a point cannot join any of ``c`` classes, each class
-    blocks it within distance < ``delta``, so those ``c`` points plus the
-    point itself sit in one such window; hence #classes never exceeds the
-    bound.
+    Greedy first-fit over zeros sorted by re: a zero of multiplicity ``m``
+    joins the first ``m`` classes it clears and opens one class per copy
+    left over, since its copies, at distance 0, block each other.  Returns
+    the classes and the certified class-count bound: the max
+    multiplicity-weighted count over windows of length ``2*delta``.  When
+    a copy clears none of ``c`` classes, each class blocks it within
+    distance < ``delta``, so those ``c`` points plus the copy sit in one
+    such window; hence #classes never exceeds the bound.
     """
     if not delta > 0:
         raise PreconditionError(f"delta must be positive, got {delta}")
-    expanded = zs.expanded()
-    res, ims = expanded.res.tolist(), expanded.ims.tolist()
+    res, ims = zs.res.tolist(), zs.ims.tolist()
     classes: list[list[int]] = []
-    for i, (x, y) in enumerate(zip(res, ims)):
-        placed = False
+    for i, (x, y, m) in enumerate(zip(res, ims, zs.mults.tolist())):
         for members in classes:
-            ok = True
-            for j in reversed(members):
-                if x - res[j] >= delta:
-                    break
-                if math.hypot(x - res[j], y - ims[j]) < delta:
-                    ok = False
-                    break
-            if ok:
+            if _clear(members, res, ims, x, y, delta):
                 members.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    bound = upper_density_profile(expanded, [2 * delta]).entries[0].sup_count
-    return [ZeroSet(expanded.res[m], expanded.ims[m]) for m in classes], bound
+                m -= 1
+                if not m:
+                    break
+        classes += [[i] for _ in range(m)]
+    bound = upper_density_profile(zs, [2 * delta]).entries[0].sup_count
+    return [ZeroSet(zs.res[m], zs.ims[m]) for m in classes], bound

@@ -199,7 +199,6 @@ def test_arrays_are_the_only_state():
         zs.res[0] = 0.0
     assert not hasattr(zs, "__dict__")
     assert zs.mults.tolist() == [1, 2]
-    assert zs.expanded() == ZeroSet([1.0, 3.0, 3.0], [1.0, 1.0, 1.0])
 
 
 # ----------------------------------------------------------------------
@@ -494,13 +493,34 @@ def test_separation_needs_two_points():
         separation_constant(ZeroSet([0.0], [1.0]))
 
 
+def _copies(zs):
+    """The points of ``zs`` with every multiplicity written out as copies."""
+    return np.repeat(zs.res, zs.mults), np.repeat(zs.ims, zs.mults)
+
+
+def _first_fit(zs, delta):
+    """The decomposition as first-fit over copies: each copy joins the first
+    class with no member closer than ``delta``, or opens a new one."""
+    res, ims = _copies(zs)
+    classes = []
+    for i, (x, y) in enumerate(zip(res.tolist(), ims.tolist())):
+        for members in classes:
+            if all(math.hypot(x - res[j], y - ims[j]) >= delta for j in members):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    bound = upper_density_profile(ZeroSet(res, ims), [2 * delta]).entries[0].sup_count
+    return [ZeroSet(res[m], ims[m]) for m in classes], bound
+
+
 def _min_colors(zs, delta):
     """Smallest number of classes with pairwise distances >= delta.
 
-    Exhaustive backtracking on the conflict graph of the expanded points;
+    Exhaustive backtracking on the conflict graph of the copies;
     exponential, fine for the handful of points used here.
     """
-    points = _triples(zs.expanded())
+    points = list(zip(*_copies(zs)))
     n = len(points)
     conflict = [
         [math.hypot(p[0] - q[0], p[1] - q[1]) < delta for q in points] for p in points
@@ -564,7 +584,34 @@ def test_decompose_classes_are_separated_and_partition():
         if cl.weight >= 2:
             assert separation_constant(cl) >= delta
         merged.extend(_triples(cl))
-    assert sorted(merged) == _triples(zs.expanded())
+    res, ims = _copies(zs)
+    assert sorted(merged) == sorted(zip(res.tolist(), ims.tolist(), [1] * len(res)))
+
+
+# repeated rows, ties in re (signed zeros too) and in im, mults up to 4
+_decompose_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0]) | _ties | st.floats(-5.0, 5.0),
+        st.sampled_from([0.5, 1.0]) | st.floats(0.1, 3.0),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(deadline=None)
+@given(rows=_decompose_rows, repeats=st.integers(0, 5), delta=st.floats(1e-3, 5.0))
+@example(rows=[(0.0, 1.0, 2), (-0.0, 1.0, 3), (0.25, 1.0, 1)], repeats=3, delta=0.5)
+def test_decompose_equals_first_fit_over_copies(rows, repeats, delta):
+    zs = ZeroSet(*_columns(rows + rows[:repeats]))
+    classes, bound = decompose_uniformly_discrete(zs, delta)
+    expected, expected_bound = _first_fit(zs, delta)
+    assert bound == expected_bound
+    # bytewise and in order: == cannot tell 0.0 from -0.0
+    assert [(c.res.tobytes(), c.ims.tobytes()) for c in classes] == [
+        (c.res.tobytes(), c.ims.tobytes()) for c in expected
+    ]
 
 
 def test_decompose_window_bound_heuristic():
