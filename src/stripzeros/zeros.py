@@ -197,10 +197,18 @@ def window_count(zs: ZeroSet, x: float | np.ndarray, r: float) -> int | np.ndarr
     """Multiplicity-weighted number of zeros with re in ``[x, x+r)``.
 
     ``x`` is one anchor (the count is an ``int``) or an array of anchors
-    (an array of counts).
+    (an array of counts).  A length ``r`` not above the float spacing at
+    the outermost zero raises ``PreconditionError``: a window there holds
+    at most one float, and its count would silently come out short.
     """
     if not r > 0:
         raise PreconditionError(f"window length must be positive, got {r}")
+    far = max(abs(zs.res[0]), abs(zs.res[-1]))
+    if not np.spacing(far) < r:
+        raise PreconditionError(
+            f"window length {r} is not above the float spacing {np.spacing(far)} "
+            f"at |re| = {far}, so windows there cannot be counted exactly"
+        )
     lo = np.searchsorted(zs.res, x, side="left")
     hi = np.searchsorted(zs.res, x + r, side="left")
     counts = zs._cum[hi] - zs._cum[lo]

@@ -43,12 +43,17 @@ def test_density_command(tmp_path, capsys):
     assert float(first[2]) == 1.0
 
 
+def _readme_block(heading, language):
+    """The first ``language`` code block under the README's ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     # every command of the README's "Command line" example block, on the
     # zeros.csv and samples.csv it names
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "sh")
     lines = [line for line in block.splitlines() if line.startswith("stripzeros ")]
     assert lines
     save_zero_set(sine_type_model(1.0).zeros, str(tmp_path / "zeros.csv"))
@@ -63,6 +68,12 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
             assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0, line
         else:
             assert out, line
+
+
+def test_readme_library_tour_runs():
+    # the "Library tour" block as written; find_growth_window(zs, 25.0) there
+    # once returned None, and phi_sum failed on it
+    exec(compile(_readme_block("Library tour", "python"), "README.md", "exec"), {})
 
 
 def test_density_empty_file_exits_2(tmp_path, capsys):
@@ -528,6 +539,25 @@ def test_density_counts_mult_to_the_int64_limit(tmp_path, capsys):
         "numeric precondition failed: total multiplicity must be < 2^63, "
         "got 10000000000000000000\n"
     )
+
+
+def test_density_far_from_the_origin_exits_3(tmp_path, capsys):
+    # the float window [1e17, 1e17 + 1) is empty: density printed a sup count of 0
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("1e17,1\n")
+    code, out, err = run(capsys, "density", "--zeros", str(zeros), "--radii", "1,100")
+    assert (code, out) == (3, "")
+    assert err == (
+        "numeric precondition failed: window length 1.0 is not above the float "
+        "spacing 16.0 at |re| = 1e+17, so windows there cannot be counted exactly\n"
+    )
+    code, out, _ = run(capsys, "density", "--zeros", str(zeros), "--radii", "100")
+    assert (code, out.splitlines()[1]) == (0, "100.0,1,0.01,1e+17")
+    # example2's own export: 3^33 ~ 5.6e15 is the first cluster at float spacing 1
+    for k, exit_code in (("32", 0), ("33", 3)):
+        path = tmp_path / f"ex2_{k}.csv"
+        assert run(capsys, "zoo", "--model", "example2", "--K", k, "--out", str(path))[0] == 0
+        assert run(capsys, "density", "--zeros", str(path), "--radii", "1")[0] == exit_code
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from stripzeros import (
     PreconditionError,
     ZeroSet,
     decompose_uniformly_discrete,
+    find_growth_window,
     load_zero_set,
     phi_sum,
     save_zero_set,
@@ -391,6 +392,20 @@ def test_window_count_half_open():
 def test_window_count_rejects_bad_length():
     with pytest.raises(PreconditionError):
         window_count(progression(), 0.0, 0.0)
+
+
+def test_window_count_refuses_lengths_within_the_float_spacing():
+    # at 1e17 the spacing is 16: [1e17, 1e17 + 1) held no float, and the
+    # count of five zeros there came out 0
+    zs = ZeroSet([1e17] * 5, [1.0] * 5)
+    for call in (lambda: window_count(zs, 1e17, 1.0), lambda: find_growth_window(zs, 0.1)):
+        with pytest.raises(PreconditionError, match="float spacing 16.0 at"):
+            call()
+    assert window_count(zs, 1e17, 32.0) == 5
+    # the outermost zero on either side sets the spacing: 2^52 has spacing 1
+    with pytest.raises(PreconditionError, match="float spacing 1.0 at"):
+        window_count(ZeroSet([-(2.0**52), 0.0], [1.0, 1.0]), 0.0, 1.0)
+    assert window_count(ZeroSet([2.0**52 - 1], [1.0]), 2.0**52 - 1, 1.0) == 1
 
 
 def test_window_count_additive_over_adjacent_windows():
