@@ -3,22 +3,45 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import subprocess
+import sys
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import _rowfmt
+from ._rowfmt import CSV_BLOCK, format_rows
 from .errors import InputFormatError, PreconditionError
 
-# rows formatted per block by write_csv; larger blocks raised peak memory
-CSV_BLOCK = 1 << 12
+# fewest rows of a table whose back half write_csv hands to a helper process:
+# below 2^17 rows the helper's start-up costs about what it saves
+HELPER_ROWS = 1 << 17
+
+# the helper's script, run as python -S -I ROWFMT_SCRIPT TYPECODES ROWS
+ROWFMT_SCRIPT = _rowfmt.__file__
+
+# bytes of the helper's output copied to the target per read
+COPY_CHUNK = 1 << 16
+
+# array typecodes of the column dtypes the helper reads
+_TYPECODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q"}
 
 # elements per float temporary of the block kernels (argbranch._branch_sum,
 # oscillation._oscillation_rows): 256 KB, so every elementwise pass over a
 # block stays in a core's L2 cache instead of streaming from L3
 BLOCK_ELEMS = 1 << 15
+
+
+def affinity_cpus() -> int:
+    """CPUs of the process's affinity mask (the CPU count where it has none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def evaluate_on_grid(f: Callable, xs: np.ndarray) -> np.ndarray:
@@ -112,15 +135,63 @@ def write_csv(target, header: str, *columns, footer: str = "") -> None:
     may pass the int64 range go in an object array: numpy reads a list
     mixing them with small ints as floats.  Rows are formatted and written
     ``CSV_BLOCK`` at a time, so the whole text is never held in memory.
+
+    A table of at least ``HELPER_ROWS`` rows of float64 and int64 columns,
+    written by a process allowed more than one CPU, has its back half
+    formatted by a helper process running ``_rowfmt.py`` while this one
+    formats the front; the helper's text is then written through
+    ``target`` too, so the bytes are the same.
     """
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    codes = "".join(_TYPECODES.get(c.dtype, "") for c in cols if c.ndim == 1)
+    split = n >= HELPER_ROWS and len(codes) == len(cols) and affinity_cpus() > 1
     with contextlib.ExitStack() as stack:
         out = target
         if not hasattr(target, "write"):
             out = stack.enter_context(open(target, "w"))
         out.write(header)
-        for s in range(0, len(columns[0]), CSV_BLOCK):
-            block = [np.asarray(c[s : s + CSV_BLOCK]).tolist() for c in columns]
-            # one % per block, not per row: faster, and the same bytes
-            out.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        if not (split and _write_split(out, cols, codes, n)):
+            for text in format_rows(cols, 0, n):
+                out.write(text)
         out.write(footer)
+
+
+def _write_split(out, cols, codes: str, n: int) -> bool:
+    """Write rows ``0:n`` of ``cols``, the back half formatted by a helper process.
+
+    The front rows, rounded down to a multiple of ``CSV_BLOCK``, are
+    formatted here while the helper formats the rest from their raw
+    bytes; its output is copied to ``out`` after them.  Returns False,
+    having written nothing, when the helper cannot be started.  The helper
+    is waited for before this returns, and killed first if this raises;
+    a helper that fails raises ``RuntimeError``.
+    """
+    front = n // 2 // CSV_BLOCK * CSV_BLOCK
+    cmd = [sys.executable, "-S", "-I", ROWFMT_SCRIPT, codes, str(n - front)]
+    try:
+        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    except OSError:
+        return False
+    try:
+        try:
+            for c in cols:
+                proc.stdin.write(np.ascontiguousarray(c[front:]))
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the helper has exited; its status is raised below
+        for text in format_rows(cols, 0, front):
+            out.write(text)
+        while chunk := proc.stdout.read(COPY_CHUNK):
+            out.write(chunk.decode("ascii"))
+    except BaseException:
+        proc.kill()
+        raise
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.close()
+        proc.stdout.close()
+        proc.wait()
+    if proc.returncode:
+        raise RuntimeError(f"the CSV row helper exited with status {proc.returncode}")
+    return True

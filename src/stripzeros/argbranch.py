@@ -26,13 +26,13 @@ other input, NaN included, is a :class:`PreconditionError`.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _numutil
 from ._numutil import BLOCK_ELEMS
 from .errors import PreconditionError, TruncationError, VerificationError
 from .zeros import ZeroSet, window_count
@@ -126,14 +126,6 @@ def phi_derivative(z: complex, t: float) -> float:
     return y / h / h
 
 
-def _kernel_cpus() -> int:
-    """CPUs of the process's affinity mask (the CPU count where it has none)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _node_blocks(res, ims, weights, ts, starts, rows, cols, scratch, acc, errors, k) -> None:
     """Add ``sum_z weights_z * phi_z(t)`` to ``acc`` for the node blocks at ``starts``.
 
@@ -194,7 +186,7 @@ def _branch_sum(res, ims, weights, ts) -> np.ndarray:
     cols = max(1, BLOCK_ELEMS // rows)
     starts = range(0, ts.size, cols)
     share_pairs = MIN_SHARE_BLOCKS * BLOCK_ELEMS
-    shares = max(1, min(_kernel_cpus(), len(starts), res.size * ts.size // share_pairs))
+    shares = max(1, min(_numutil.affinity_cpus(), len(starts), res.size * ts.size // share_pairs))
     # allocated here, not in the helpers, which would raise the peak RSS
     scratch = np.empty((shares, 2 * rows * cols + cols))
     errors = [None] * shares

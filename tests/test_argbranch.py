@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from stripzeros import argbranch
+from stripzeros import _numutil, argbranch
 from stripzeros import (
     PreconditionError,
     TruncationError,
@@ -34,13 +34,13 @@ def branch_point(z):
 KERNEL_BLOCKS = [
     {},
     {"BLOCK_ELEMS": 7, "ZERO_BLOCK": 1},
-    {"BLOCK_ELEMS": 7, "ZERO_BLOCK": 1, "MIN_SHARE_BLOCKS": 1, "_kernel_cpus": lambda: 3},
+    {"BLOCK_ELEMS": 7, "ZERO_BLOCK": 1, "MIN_SHARE_BLOCKS": 1, "affinity_cpus": lambda: 3},
 ]
 
 
 def set_kernel_blocks(monkeypatch, blocks):
     for name, value in blocks.items():
-        monkeypatch.setattr(argbranch, name, value)
+        monkeypatch.setattr(_numutil if name == "affinity_cpus" else argbranch, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +429,7 @@ def test_branch_sum_is_bit_identical_on_any_cpu_count_property(
         m.setattr(argbranch, "MIN_SHARE_BLOCKS", 1)
         want = serial_branch_sum(res, ims, mults, ts).tobytes()
         for cpus in (1, 2, 3):
-            m.setattr(argbranch, "_kernel_cpus", lambda: cpus)
+            m.setattr(_numutil, "affinity_cpus", lambda: cpus)
             sys.setswitchinterval(1e-6)
             try:
                 got = argbranch._branch_sum(res, heights, mults, ts)
@@ -466,7 +466,7 @@ def test_branch_sum_raises_a_helper_error_and_leaves_no_thread(monkeypatch):
     ts = np.linspace(-3.0, 3.0, 50)
     monkeypatch.setattr(argbranch, "ZERO_BLOCK", 4)
     monkeypatch.setattr(argbranch, "BLOCK_ELEMS", 4 * 8)
-    monkeypatch.setattr(argbranch, "_kernel_cpus", lambda: 3)
+    monkeypatch.setattr(_numutil, "affinity_cpus", lambda: 3)
     before = threading.active_count()
     want = phi_sum(zs, ts, None).value
     assert threading.active_count() == before

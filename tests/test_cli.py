@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stripzeros
-from stripzeros import argbranch
+from stripzeros import _numutil
 from stripzeros import (
     SampledFunction,
     load_zero_set,
@@ -294,8 +294,8 @@ def test_outputs_are_bit_identical_on_any_cpu_count(tmp_path, monkeypatch, capsy
     jobs = [["verify-theorem", *argv] for argv in VERIFY_FAMILIES]
     jobs.append(["phi", "--zeros", str(zeros), "--grid=-30:0.05:1201"])
     outputs = []
-    for cpus in (1, argbranch._kernel_cpus(), 3):
-        monkeypatch.setattr(argbranch, "_kernel_cpus", lambda: cpus)
+    for cpus in (1, _numutil.affinity_cpus(), 3):
+        monkeypatch.setattr(_numutil, "affinity_cpus", lambda: cpus)
         runs = []
         for argv in jobs:
             out = tmp_path / "out.csv"

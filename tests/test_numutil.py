@@ -1,11 +1,14 @@
 """The one CSV reader and the one CSV writer behind every import and export."""
 
+import contextlib
 import io
+import subprocess
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from stripzeros import InputFormatError, load_zero_set
+from stripzeros import InputFormatError, _numutil, load_zero_set
 from stripzeros._numutil import CSV_BLOCK, read_rows, read_text, write_csv
 
 
@@ -49,6 +52,153 @@ def test_numbers_are_plain_decimals():
         f"7,1e+16,{3**41},1e-05\n"
     )
     assert "np." not in text
+
+
+def _reference(target, header: str, *columns, footer: str = "") -> None:
+    """write_csv as one in-process block loop, the oracle of the helper's bytes."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    with contextlib.ExitStack() as stack:
+        out = target
+        if not hasattr(target, "write"):
+            out = stack.enter_context(open(target, "w"))
+        out.write(header)
+        for s in range(0, len(columns[0]), CSV_BLOCK):
+            block = [np.asarray(c[s : s + CSV_BLOCK]).tolist() for c in columns]
+            out.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        out.write(footer)
+
+
+def _target_bytes(kind: str, path, write) -> bytes:
+    """The bytes ``write(target)`` leaves in a target of ``kind``."""
+    if kind == "stream":
+        buf = io.StringIO()
+        write(buf)
+        return buf.getvalue().encode()
+    if kind == "path":
+        write(path)
+    else:
+        with open(path, "w", newline="\r\n") as f:
+            write(f)
+    return path.read_bytes()
+
+
+def _table(n: int):
+    """A float64 and an int64 column of ``n`` rows, the extreme values among them."""
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    ks = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    # at the front and at the back, so that both shares hold each of them
+    for i, x in enumerate([-0.0, 5e-324, 1e-5, 1e16, 1e300, -1e300]):
+        xs[i % n] = xs[-1 - i % n] = x
+    ks[[0, -1]] = [-(2**63), 2**63 - 1]
+    return xs, ks
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The processes write_csv starts, on an affinity mask of two CPUs."""
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(_numutil, "affinity_cpus", lambda: 2)
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+# (rows, HELPER_ROWS): with 1 every table goes through the helper, which then
+# formats all of it; with 3 blocks it formats the back two of a table of 3
+@pytest.mark.parametrize("n,helper_rows", [
+    (1, 1), (CSV_BLOCK - 1, 1), (CSV_BLOCK + 1, 1),
+    (3 * CSV_BLOCK - 1, 3 * CSV_BLOCK), (3 * CSV_BLOCK, 3 * CSV_BLOCK),
+    (3 * CSV_BLOCK + 1, 3 * CSV_BLOCK),
+])
+@pytest.mark.parametrize("kind", ["path", "stream", "crlf"])
+def test_the_helper_writes_the_bytes_of_the_in_process_loop(
+        tmp_path, monkeypatch, helpers, n, helper_rows, kind):
+    monkeypatch.setattr(_numutil, "HELPER_ROWS", helper_rows)
+    xs, ks = _table(n)
+    args = ("t,k,x\n", xs, ks, -xs)
+    want = _target_bytes(kind, tmp_path / "want.csv",
+                         lambda out: _reference(out, *args, footer="# end\n"))
+    got = _target_bytes(kind, tmp_path / "got.csv",
+                        lambda out: write_csv(out, *args, footer="# end\n"))
+    assert got == want
+    assert len(helpers) == (n >= helper_rows)
+    assert all(proc.returncode == 0 for proc in helpers)
+
+
+@pytest.mark.parametrize("case", ["one cpu", "small table", "object column"])
+def test_no_process_starts_where_the_helper_does_not_apply(monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_csv started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(_numutil, "affinity_cpus", lambda: 1 if case == "one cpu" else 2)
+    monkeypatch.setattr(_numutil, "HELPER_ROWS", 5 if case == "small table" else 4)
+    xs, ks = _table(4)
+    columns = [xs, ks]
+    if case == "object column":
+        # ints past the int64 range, which the helper's int64 columns cannot hold
+        columns.append(np.array([2**63, 3**41, -(2**70), 1], dtype=object))
+    want = io.StringIO()
+    _reference(want, "", *columns)
+    assert _written("", *columns) == want.getvalue()
+
+
+def test_a_helper_that_cannot_start_leaves_every_row_in_process(monkeypatch):
+    # a missing interpreter is no input error: the rows are written all the same
+    def missing(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", args[0][0])
+
+    monkeypatch.setattr(subprocess, "Popen", missing)
+    monkeypatch.setattr(_numutil, "affinity_cpus", lambda: 2)
+    monkeypatch.setattr(_numutil, "HELPER_ROWS", 1)
+    xs, ks = _table(CSV_BLOCK + 1)
+    want = io.StringIO()
+    _reference(want, "", xs, ks)
+    assert _written("", xs, ks) == want.getvalue()
+
+
+@pytest.mark.parametrize("script", [
+    "import sys\nsys.exit(3)\n",  # exits before it reads its rows
+    "import sys\nsys.stdin.buffer.read()\nprint('1.0,2')\nsys.exit(3)\n",  # a short share
+], ids=["exits-at-once", "short-share"])
+def test_a_failing_helper_raises(tmp_path, monkeypatch, helpers, script):
+    path = tmp_path / "helper.py"
+    path.write_text(script)
+    monkeypatch.setattr(_numutil, "ROWFMT_SCRIPT", str(path))
+    monkeypatch.setattr(_numutil, "HELPER_ROWS", CSV_BLOCK)
+    xs, ks = _table(4 * CSV_BLOCK)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        write_csv(tmp_path / "out.csv", "", xs, ks)
+    assert [proc.returncode for proc in helpers] == [3]
+
+
+class _WriteFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("calls", [2, 3, 5], ids=["front", "first-copy", "later-copy"])
+def test_a_failed_write_leaves_no_helper_running(monkeypatch, helpers, calls):
+    # the header is write 1, the front block write 2, the helper's text the rest
+    class Failing(io.StringIO):
+        def write(self, text):
+            nonlocal calls
+            calls -= 1
+            if calls == 0:
+                raise _WriteFailed
+            return super().write(text)
+
+    monkeypatch.setattr(_numutil, "HELPER_ROWS", 2 * CSV_BLOCK)
+    xs, ks = _table(2 * CSV_BLOCK + 1)
+    with pytest.raises(_WriteFailed):
+        write_csv(Failing(), "t,k\n", xs, ks)
+    assert len(helpers) == 1
+    assert helpers[0].returncode is not None
 
 
 ROW = np.dtype([("x", float), ("k", np.int64)])
