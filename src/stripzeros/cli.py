@@ -93,11 +93,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     if not radii:
         raise InputFormatError("density needs --radii r1,r2,...")
     profile = upper_density_profile(load_zero_set(args.zeros), radii)
-    write_csv(
-        args.out,
-        "r,sup_count,density,witness_x\n",
-        *zip(*map(astuple, profile.entries)),
-    )
+    write_csv(args.out, "r,sup_count,density,witness_x\n", *zip(*map(astuple, profile)))
     return EXIT_OK
 
 
@@ -197,11 +193,8 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     k_list = _parse_ks(args.K)
     if not k_list:
         raise InputFormatError("verify-theorem needs --K k1,k2,...")
-    family = [(float(k), _build_model(args, k)) for k in k_list]
-    rows = theorem_divergence_scan(family)
-    control = theorem_divergence_scan(
-        [(200.0, zoo.sine_type_model(1.0, truncation=200))]
-    )[0]
+    rows = theorem_divergence_scan([(k, _build_model(args, k)) for k in k_list])
+    control = theorem_divergence_scan([(200, zoo.sine_type_model(1.0, truncation=200))])[0]
 
     table = [(r.label, r.bound, *r.witness, r.window_count, r.tail_bound) for r in rows]
     write_csv(
@@ -218,7 +211,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     for thr in thresholds:
         crossed = [r.label for r in rows if r.bound >= thr]
         if crossed:
-            summary.append(f"threshold {thr:g} crossed at K={crossed[0]:g}")
+            summary.append(f"threshold {thr:g} crossed at K={crossed[0]}")
         else:
             summary.append(f"threshold {thr:g} not crossed")
     print("\n".join(summary), file=sys.stderr)
@@ -226,7 +219,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     for r in rows:
         if r.tail_bound > 0.01 * max(abs(r.bound), 1e-300):
             print(
-                f"truncation too aggressive at K={r.label:g}: "
+                f"truncation too aggressive at K={r.label}: "
                 f"tail {r.tail_bound:g} vs bound {r.bound:g}",
                 file=sys.stderr,
             )

@@ -54,7 +54,7 @@ class HilbertLogModel:
     """
 
     indicator_width: float
-    zeros: ZeroSet | None
+    zeros: ZeroSet
 
     def __post_init__(self):
         if not self.indicator_width >= 0:
@@ -63,20 +63,10 @@ class HilbertLogModel:
             )
 
 
-def hlf_samples(
-    model: HilbertLogModel,
-    template: SampledFunction,
-    truncation_radius: float | None = None,
-) -> tuple[SampledFunction, float]:
-    """Samples of ``(T/2)*t - phi_sum`` on the template grid, and the worst tail bound."""
+def hlf_samples(model: HilbertLogModel, template: SampledFunction) -> SampledFunction:
+    """Samples of ``(T/2)*t - phi_sum`` over every zero on the template grid."""
     ts = template.grid
-    acc = 0.5 * model.indicator_width * ts
-    tail = 0.0
-    if model.zeros is not None:
-        r = phi_sum(model.zeros, ts, truncation_radius)
-        acc -= r.value
-        tail = float(r.tail_bound.max())
-    return template.like(acc), tail
+    return template.like(0.5 * model.indicator_width * ts - phi_sum(model.zeros, ts, None).value)
 
 
 def reconstruct_log_modulus(
@@ -88,8 +78,7 @@ def reconstruct_log_modulus(
     output tracks the log-modulus only modulo a vertical offset; compare
     after subtracting means.
     """
-    samples, _ = hlf_samples(model, template)
-    out = hilbert_transform_sampled(samples)
+    out = hilbert_transform_sampled(hlf_samples(model, template))
     return out.like(-out.values)
 
 
@@ -132,9 +121,9 @@ def compose_helson_szego(witness: HSWitness) -> ComposedWeight:
 
 @dataclass(frozen=True)
 class DivergenceRow:
-    """One family member: its label, BMO lower bound, and the witness."""
+    """One family member: its label as given, BMO lower bound, and the witness."""
 
-    label: float
+    label: int | float
     bound: float
     witness: tuple[float, float]
     window_count: int
@@ -142,7 +131,7 @@ class DivergenceRow:
 
 
 def theorem_divergence_scan(
-    family: Sequence[tuple[float, ZooModel]]
+    family: Sequence[tuple[int | float, ZooModel]]
 ) -> list[DivergenceRow]:
     """BMO lower bounds of the transform model near each member's hot window.
 
@@ -152,7 +141,7 @@ def theorem_divergence_scan(
     offsets from that anchor, since oscillation over an interval is
     unchanged by translating zeros and grid together and the
     anchor-dependent constants drop out.  Every zero is kept, so the tail
-    bound is zero unless a truncation is forced by the data.
+    bound is zero.
     """
     rows = []
     n = int(round(2.0 * SCAN_HALFSPAN / SCAN_STEP)) + 1
@@ -163,15 +152,9 @@ def theorem_divergence_scan(
         template = SampledFunction(t0, SCAN_STEP, np.zeros(n))
         # (T/2)*base is constant over the window and is dropped
         hlf_model = HilbertLogModel(model.indicator_width, zs_rel)
-        g, tail = hlf_samples(hlf_model, template)
+        g = hlf_samples(hlf_model, template)
         rep: OscillationReport = bmo_estimate(g, SCAN_INTERVAL, SCAN_INTERVAL)
         rows.append(
-            DivergenceRow(
-                float(label),
-                rep.oscillation,
-                (base + rep.a, base + rep.b),
-                count,
-                tail,
-            )
+            DivergenceRow(label, rep.oscillation, (base + rep.a, base + rep.b), count, 0.0)
         )
     return rows

@@ -25,7 +25,6 @@ _ROW = np.dtype([("re", float), ("im", float), ("mult", np.int64)])  # a CSV row
 __all__ = [
     "ZeroSet",
     "ProfileEntry",
-    "DensityProfile",
     "load_zero_set",
     "save_zero_set",
     "window_count",
@@ -149,11 +148,6 @@ class ProfileEntry:
     witness: float
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    entries: tuple[ProfileEntry, ...]
-
-
 # ----------------------------------------------------------------------
 # file formats
 
@@ -226,8 +220,8 @@ def _validate_radii(radii: Sequence[float]) -> list[float]:
     return radii
 
 
-def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile:
-    """Sup over window position of count/length, per window length.
+def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> tuple[ProfileEntry, ...]:
+    """Sup over window position of count/length: one entry per window length.
 
     The count as a function of the anchor is piecewise constant with jumps
     at ``{re_i}`` and ``{re_i - r}``, and its sup is attained on that finite
@@ -247,7 +241,7 @@ def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> DensityProfile
         count, witness = min(best)
         sup = -count
         entries.append(ProfileEntry(float(r), sup, sup / r, witness))
-    return DensityProfile(tuple(entries))
+    return tuple(entries)
 
 
 # ----------------------------------------------------------------------
@@ -313,5 +307,5 @@ def decompose_uniformly_discrete(zs: ZeroSet, delta: float) -> tuple[list[ZeroSe
                 if not m:
                     break
         classes += [[i] for _ in range(m)]
-    bound = upper_density_profile(zs, [2 * delta]).entries[0].sup_count
+    bound = upper_density_profile(zs, [2 * delta])[0].sup_count
     return [ZeroSet(zs.res[m], zs.ims[m]) for m in classes], bound

@@ -74,10 +74,10 @@ class ZooModel:
     delta_log3: np.ndarray | None = None
 
     @property
-    def zeros(self) -> ZeroSet | None:
-        """The zeros as a strip zero set; None while they are real."""
+    def zeros(self) -> ZeroSet:
+        """The zeros as a strip zero set; real zeros raise ``PreconditionError``."""
         if not self.height > 0:
-            return None
+            raise PreconditionError("model has no strip zeros; shift it first")
         return ZeroSet(self.re, np.full(self.re.size, self.height), self.mult)
 
 
@@ -194,10 +194,7 @@ def hot_unit_window(model: ZooModel) -> tuple[float | int, float, int]:
         counts = _cluster_counts(model)
         best_k = counts.size - 1 - int(np.argmax(counts[::-1]))
         return 3**best_k, -1.0, int(counts[best_k])
-    zs = model.zeros
-    if zs is None:
-        raise PreconditionError("model has no strip zeros; shift it first")
-    entry = upper_density_profile(zs, [1.0]).entries[0]
+    entry = upper_density_profile(model.zeros, [1.0])[0]
     return entry.witness, 0.0, entry.sup_count
 
 

@@ -265,7 +265,7 @@ def test_verify_theorem_stdout_ends_with_control_line(capsys):
     assert code == 0
     lines = out.split("\n")
     assert lines[0] == "K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound"
-    assert [line.split(",")[0] for line in lines[1:3]] == ["12.0", "60.0"]
+    assert [line.split(",")[0] for line in lines[1:3]] == ["12", "60"]
     assert lines[3].startswith("# control sine-type (N=200) bound: ")
     assert float(lines[3].rsplit(" ", 1)[1]) > 0
     assert lines[4:] == [""]  # the control line ends the output
@@ -595,6 +595,19 @@ def test_model_range_exits_3(capsys, argv, message):
 def test_zoo_cluster_count_is_exact(capsys, k, row):
     code, out, err = run(capsys, "zoo", "--model", "cluster", "--K", k)
     assert (code, out, err) == (0, row + "\n", "")
+
+
+def test_verify_theorem_prints_k_as_given(capsys):
+    # a K above 2^53 prints exactly, in the K column as in the window count
+    # beside it and on stderr, not as the float it rounds to
+    code, out, err = run(
+        capsys, "verify-theorem", "--model", "cluster", "--K", "9007199254740993",
+        "--thresholds", "1",
+    )
+    assert code == 0
+    row = out.split("\n")[1].split(",")
+    assert row[0] == row[4] == "9007199254740993"
+    assert "threshold 1 crossed at K=9007199254740993\n" in err
 
 
 def test_hilbert_input_late_header_exits_2(tmp_path, capsys):

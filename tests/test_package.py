@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stripzeros
+from stripzeros import logmodel
 
 
 @pytest.mark.parametrize(
@@ -27,13 +28,19 @@ def test_every_public_definition_is_exported(name):
         assert getattr(stripzeros, attr, None) is getattr(module, attr), attr
 
 
-def test_tracer_layers_name_package_functions():
-    # the benchmark's tracer looks every layer up by name and takes a method
-    # from its class's __dict__, so a dropped or renamed one would break only
-    # traced runs; its source is run here, writing no bytecode beside it
+def _spans():
+    """The benchmark's tracer module, run from source, writing no bytecode beside it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spans = types.ModuleType("spans")
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_tracer_layers_name_package_functions():
+    # the benchmark's tracer looks every layer up by name and takes a method
+    # from its class's __dict__, so a dropped or renamed one would break only
+    # traced runs
+    spans = _spans()
     assert spans.LAYERS
     for mod_name, attr, _metric, _counter in spans.LAYERS:
         module = importlib.import_module(f"stripzeros.{mod_name}")
@@ -42,3 +49,25 @@ def test_tracer_layers_name_package_functions():
             assert meth in vars(getattr(module, owner)), f"{mod_name}.{attr}"
         else:
             assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
+
+
+def test_tracer_counts_the_kernel_pairs_of_the_scan(monkeypatch):
+    # the tracer reads the zeros and the grid of hlf_samples from its
+    # positional arguments, so a change to their shape breaks only traced runs
+    spans = _spans()
+    calls = []
+    hlf_samples = logmodel.hlf_samples
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return hlf_samples(*args, **kwargs)
+
+    monkeypatch.setattr(logmodel, "hlf_samples", recorder)
+    stripzeros.theorem_divergence_scan(
+        [(3, stripzeros.cluster_model(3)), (10, stripzeros.sine_type_model(1.0, truncation=10))]
+    )
+    assert len(calls) == 2
+    for args, kwargs in calls:
+        model, template = args
+        want = template.n * len(model.zeros)
+        assert spans._kernel_pairs(spans.Tracer(), args, kwargs) == want

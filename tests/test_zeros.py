@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from stripzeros import (
     InputFormatError,
     PreconditionError,
+    ProfileEntry,
     ZeroSet,
     decompose_uniformly_discrete,
     find_growth_window,
@@ -337,7 +338,7 @@ def test_density_profile_matches_brute_force_count(rows, radii, probes):
         return sum(m for x, _, m in rows if a <= x < a + r)
 
     prof = upper_density_profile(ZeroSet(*_columns(rows)), radii)
-    for r, e in zip(radii, prof.entries):
+    for r, e in zip(radii, prof):
         anchors = [x for x, _, _ in rows] + [x - r for x, _, _ in rows]
         assert e.sup_count == max(count(a, r) for a in anchors)
         assert count(e.witness, r) == e.sup_count
@@ -359,7 +360,7 @@ def test_density_profile_matches_the_unique_anchor_scan(rows, radii):
     # is the smallest anchor of largest count, and a witness of zero compares
     # by ==, since np.unique keeps either of 0.0 and -0.0
     zs = ZeroSet(*_columns(rows))
-    for r, e in zip(radii, upper_density_profile(zs, radii).entries):
+    for r, e in zip(radii, upper_density_profile(zs, radii)):
         # the scan over the sorted union of both anchor sets
         anchors = np.unique(np.concatenate((zs.res, zs.res - r)))
         counts = window_count(zs, anchors, r)
@@ -426,13 +427,14 @@ def test_window_count_additive_over_adjacent_windows():
 def test_density_unit_spacing():
     zs = progression(1.0, 1000)
     prof = upper_density_profile(zs, [10.0, 100.0])
-    assert [e.density for e in prof.entries] == [1.0, 1.0]
+    assert type(prof) is tuple and all(type(e) is ProfileEntry for e in prof)
+    assert [e.density for e in prof] == [1.0, 1.0]
 
 
 def test_density_even_spacing():
     # 50 points of spacing 2 fit a half-open window of length 100, exactly
     zs = progression(2.0, 1000)
-    e = upper_density_profile(zs, [100.0]).entries[0]
+    e = upper_density_profile(zs, [100.0])[0]
     assert e.sup_count == 50
     assert e.density == 0.5
     assert abs(e.density - 0.5) <= 2.0 / 100.0
@@ -442,7 +444,7 @@ def test_density_even_spacing():
 def test_density_band_invariant(d):
     zs = progression(float(d), 1000)
     for r in (50.0, 100.0, 500.0):
-        e = upper_density_profile(zs, [r]).entries[0]
+        e = upper_density_profile(zs, [r])[0]
         assert 1.0 / d - 2.0 / r <= e.density <= 1.0 / d + 2.0 / r
 
 
@@ -450,7 +452,7 @@ def test_density_matches_brute_force():
     rng = np.random.default_rng(5)
     zs = ZeroSet(rng.uniform(0, 30, 60), np.ones(60), rng.integers(1, 3, 60))
     for r in (0.7, 2.3):
-        e = upper_density_profile(zs, [r]).entries[0]
+        e = upper_density_profile(zs, [r])[0]
         brute = max(
             window_count(zs, a, r)
             for a in np.concatenate((zs.res, zs.res - r))
@@ -465,8 +467,8 @@ def test_density_monotone_under_inclusion():
     part = ZeroSet(xs[:40], np.ones(40))
     full = ZeroSet(xs, np.ones(80))
     radii = [0.5, 2.0, 10.0]
-    small = upper_density_profile(part, radii).entries
-    big = upper_density_profile(full, radii).entries
+    small = upper_density_profile(part, radii)
+    big = upper_density_profile(full, radii)
     assert all(b.density >= s.density for s, b in zip(small, big))
 
 
@@ -525,7 +527,7 @@ def _first_fit(zs, delta):
                 break
         else:
             classes.append([i])
-    bound = upper_density_profile(ZeroSet(res, ims), [2 * delta]).entries[0].sup_count
+    bound = upper_density_profile(ZeroSet(res, ims), [2 * delta])[0].sup_count
     return [ZeroSet(res[m], ims[m]) for m in classes], bound
 
 
@@ -634,7 +636,7 @@ def test_decompose_window_bound_heuristic():
     rng = np.random.default_rng(23)
     xs = np.sort(rng.uniform(0, 50, 120))
     zs = ZeroSet(xs, np.ones(120))
-    c_max = upper_density_profile(zs, [1.0]).entries[0].sup_count
+    c_max = upper_density_profile(zs, [1.0])[0].sup_count
     classes, _ = decompose_uniformly_discrete(zs, 1.0 / (2 * c_max))
     assert len(classes) <= 2 * c_max + 1
 

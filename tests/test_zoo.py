@@ -46,8 +46,8 @@ def test_sine_zero_geometry():
     model = sine_type_model(1.0, truncation=50)
     assert separation_constant(model.zeros) == 1.0
     prof = upper_density_profile(model.zeros, [1.0, 10.0])
-    assert prof.entries[0].density == 1.0
-    assert prof.entries[1].density == 1.0
+    assert prof[0].density == 1.0
+    assert prof[1].density == 1.0
     assert model.indicator_width == pytest.approx(2 * math.pi)
 
 
@@ -57,7 +57,9 @@ def test_sine_zero_geometry():
 
 def test_example1_factor_two_zeros():
     model = referee_example1(2, window=300.0)
-    assert model.height == 0.0 and model.zeros is None  # real zeros
+    assert model.height == 0.0  # real zeros
+    with pytest.raises(PreconditionError, match="shift it first"):
+        model.zeros
     twos = sorted(model.re[model.mult == 2].tolist())
     expected = [8 * math.pi * (m + 0.5) for m in range(-15, 15)]
     expected = [x for x in expected if abs(x) <= 300.0]
@@ -68,7 +70,7 @@ def test_example1_density_grows_with_truncation():
     sups = []
     for factors in (1, 2, 3, 4, 5):
         model = shift_to_strip(referee_example1(factors, window=500.0), 1.0)
-        sups.append(upper_density_profile(model.zeros, [1.0]).entries[0].sup_count)
+        sups.append(upper_density_profile(model.zeros, [1.0])[0].sup_count)
         assert sups[-1] >= factors
     assert all(b >= a for a, b in zip(sups, sups[1:]))
 
@@ -128,7 +130,7 @@ def test_example2_float_density_matches_delta_counts():
     # the offsets stay representable (k <= 16)
     for k_max in (6, 10, 14, 16):
         model = shift_to_strip(referee_example2(k_max), 1.0)
-        sup = upper_density_profile(model.zeros, [1.0]).entries[0].sup_count
+        sup = upper_density_profile(model.zeros, [1.0])[0].sup_count
         cluster, _ = count_claim_check(model, k_max)
         assert sup == cluster
 
@@ -137,7 +139,7 @@ def test_example2_density_grows_with_k_max():
     sups = []
     for k_max in (6, 8, 10, 12, 14, 16):
         model = shift_to_strip(referee_example2(k_max), 1.0)
-        sups.append(upper_density_profile(model.zeros, [1.0]).entries[0].sup_count)
+        sups.append(upper_density_profile(model.zeros, [1.0])[0].sup_count)
     assert sups == sorted(sups)
     assert sups[-1] > sups[0]
 
@@ -179,7 +181,8 @@ def test_example2_relative_offsets_beyond_float_integers(k_max):
 
 def test_unshifted_offset_model_has_no_strip_zeros():
     model = referee_example2(5)
-    assert model.zeros is None
+    with pytest.raises(PreconditionError, match="shift it first"):
+        model.zeros
     with pytest.raises(PreconditionError, match="shift it first"):
         relative_zero_set(model, 3**5)
 
