@@ -78,7 +78,6 @@ class PhiSumResult:
     """
 
     value: float | np.ndarray
-    truncation_radius: float
     tail_bound: float | np.ndarray
 
 
@@ -243,8 +242,8 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
     remainder = float(np.sum(zs.ims[omit] / r / r * zs.mults[omit]))
     tail = TAIL_CONSTANT * np.abs(ts) * remainder
     if ts.ndim == 0:
-        return PhiSumResult(float(value[0]), float(truncation_radius), float(tail))
-    return PhiSumResult(value.reshape(ts.shape), float(truncation_radius), tail)
+        return PhiSumResult(float(value[0]), float(tail))
+    return PhiSumResult(value.reshape(ts.shape), tail)
 
 
 def find_growth_window(zs: ZeroSet, target: float) -> float | None:

@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# the sine-type control that verify-theorem scans beside every family
+CONTROL_N = 200
+
 
 def _parse_floats(
     text: str | None, what: str, sep: str = ",", count: int | None = None
@@ -157,7 +160,7 @@ def cmd_bmo(args: argparse.Namespace) -> int:
 def _build_model(args: argparse.Namespace, k: int) -> zoo.ZooModel:
     shift = _parse_number(args.shift, "--shift")
     name = (args.model or "").lower()
-    window = 500.0
+    window = zoo.EXAMPLE1_WINDOW
     if args.truncation is not None:
         if name != "example1":
             raise InputFormatError(
@@ -194,14 +197,16 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     if not k_list:
         raise InputFormatError("verify-theorem needs --K k1,k2,...")
     rows = theorem_divergence_scan([(k, _build_model(args, k)) for k in k_list])
-    control = theorem_divergence_scan([(200, zoo.sine_type_model(1.0, truncation=200))])[0]
+    control = theorem_divergence_scan(
+        [(CONTROL_N, zoo.sine_type_model(1.0, truncation=CONTROL_N))]
+    )[0]
 
     table = [(r.label, r.bound, *r.witness, r.window_count, r.tail_bound) for r in rows]
     write_csv(
         args.out,
         "K,bmo_lower_bound,witness_lo,witness_hi,window_count,tail_bound\n",
         *zip(*table),
-        footer=f"# control sine-type (N=200) bound: {control.bound!r}\n",
+        footer=f"# control sine-type (N={CONTROL_N}) bound: {control.bound!r}\n",
     )
 
     summary = [

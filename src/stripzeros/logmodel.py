@@ -29,8 +29,6 @@ __all__ = [
     "HilbertLogModel",
     "hlf_samples",
     "reconstruct_log_modulus",
-    "HSWitness",
-    "ComposedWeight",
     "compose_helson_szego",
     "DivergenceRow",
     "theorem_divergence_scan",
@@ -86,33 +84,16 @@ def reconstruct_log_modulus(
 # Helson-Szego composition
 
 
-@dataclass(frozen=True)
-class HSWitness:
-    """Bounded pair ``(u, v)``; admissible only while ``max|v| < pi/2``."""
+def compose_helson_szego(u: SampledFunction, v: SampledFunction) -> SampledFunction:
+    """Log weight ``u + Hv`` on the grid of ``v``, gated by ``max|v| < pi/2``.
 
-    u: SampledFunction
-    v: SampledFunction
-
-    @property
-    def v_sup(self) -> float:
-        return float(np.abs(self.v.values).max())
-
-
-@dataclass(frozen=True)
-class ComposedWeight:
-    weight: SampledFunction
-    log_weight: SampledFunction
-
-
-def compose_helson_szego(witness: HSWitness) -> ComposedWeight:
-    """Samples of ``exp(u + Hv)`` on the grid of ``v``, gated by ``max|v| < pi/2``."""
-    if witness.v_sup >= HALF_PI:
-        raise HelsonSzegoBoundError(
-            f"Helson-Szego bound violated: max|v| = {witness.v_sup!r} >= pi/2"
-        )
-    v = witness.v
-    log_weight = v.like(witness.u.value_at(v.grid) + hilbert_transform_sampled(v).values)
-    return ComposedWeight(v.like(np.exp(log_weight.values)), log_weight)
+    The weight ``exp(u + Hv)`` is not formed, since a bounded ``u`` may
+    still overflow it.
+    """
+    v_sup = float(np.abs(v.values).max())
+    if v_sup >= HALF_PI:
+        raise HelsonSzegoBoundError(f"Helson-Szego bound violated: max|v| = {v_sup!r} >= pi/2")
+    return v.like(u.value_at(v.grid) + hilbert_transform_sampled(v).values)
 
 
 # ----------------------------------------------------------------------

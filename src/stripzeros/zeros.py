@@ -190,6 +190,7 @@ def save_zero_set(zs: ZeroSet, target) -> None:
 def window_count(zs: ZeroSet, x: float | np.ndarray, r: float) -> int | np.ndarray:
     """Multiplicity-weighted number of zeros with re in ``[x, x+r)``.
 
+    The end ``x + r`` is compared exactly, not as its rounded float.
     ``x`` is one anchor (the count is an ``int``) or an array of anchors
     (an array of counts).  A length ``r`` not above the float spacing at
     the outermost zero raises ``PreconditionError``: a window there holds
@@ -203,10 +204,17 @@ def window_count(zs: ZeroSet, x: float | np.ndarray, r: float) -> int | np.ndarr
             f"window length {r} is not above the float spacing {np.spacing(far)} "
             f"at |re| = {far}, so windows there cannot be counted exactly"
         )
-    lo = np.searchsorted(zs.res, x, side="left")
-    hi = np.searchsorted(zs.res, x + r, side="left")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    # TwoSum: x + r == s + e exactly, and z < x + r iff z < s, or z == s with e > 0
+    s = xs + r
+    b = s - xs
+    rounded_down = (xs - (s - b)) + (r - b) > 0
+    lo = np.searchsorted(zs.res, xs, side="left")
+    hi = np.searchsorted(zs.res, s, side="left")
+    tie = rounded_down & (zs.res[np.minimum(hi, len(zs) - 1)] == s)
+    hi[tie] = np.searchsorted(zs.res, s[tie], side="right")
     counts = zs._cum[hi] - zs._cum[lo]
-    return int(counts) if np.ndim(x) == 0 else counts
+    return int(counts[0]) if np.ndim(x) == 0 else counts
 
 
 def _validate_radii(radii: Sequence[float]) -> list[float]:

@@ -44,6 +44,9 @@ __all__ = [
 
 LOG3 = math.log(3.0)
 
+# referee_example1's default window; the CLI's --truncation replaces it
+EXAMPLE1_WINDOW = 500.0
+
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; a count that is not a whole number is an error."""
@@ -98,7 +101,7 @@ def sine_type_model(h: float, truncation: int = 100) -> ZooModel:
     return ZooModel(re, h, indicator_width=2.0 * math.pi)
 
 
-def referee_example1(factors: int, window: float = 500.0) -> ZooModel:
+def referee_example1(factors: int, window: float = EXAMPLE1_WINDOW) -> ZooModel:
     """Truncation of the product of ``cos^n(z/n^3)`` over ``n <= factors``.
 
     Real zeros at ``n^3*pi*(m+1/2)`` with multiplicity ``n``, for all

@@ -12,7 +12,6 @@ import pytest
 from scipy.integrate import quad
 
 from stripzeros import (
-    HSWitness,
     HelsonSzegoBoundError,
     SampledFunction,
     ZeroSet,
@@ -256,14 +255,12 @@ def test_criterion_10_composition_gate():
     zeros = grid.like(np.zeros(grid.n))
     rejected = False
     try:
-        compose_helson_szego(HSWitness(zeros, grid.like(np.full(grid.n, math.pi / 2))))
+        compose_helson_szego(zeros, grid.like(np.full(grid.n, math.pi / 2)))
     except HelsonSzegoBoundError:
         rejected = True
     accepted = True
     try:
-        compose_helson_szego(
-            HSWitness(zeros, grid.like(np.full(grid.n, math.pi / 2 - 1e-9)))
-        )
+        compose_helson_szego(zeros, grid.like(np.full(grid.n, math.pi / 2 - 1e-9)))
     except HelsonSzegoBoundError:
         accepted = False
     report(10, rejected and accepted, "pi/2 rejected, pi/2 - 1e-9 accepted")

@@ -552,7 +552,9 @@ def test_density_far_from_the_origin_exits_3(tmp_path, capsys):
         "spacing 16.0 at |re| = 1e+17, so windows there cannot be counted exactly\n"
     )
     code, out, _ = run(capsys, "density", "--zeros", str(zeros), "--radii", "100")
-    assert (code, out.splitlines()[1]) == (0, "100.0,1,0.01,1e+17")
+    # the smallest anchor whose window holds 1e17: 1e17 - 96 + 100 rounds down
+    # to 1e17, but [1e17 - 96, 1e17 + 4) holds it exactly
+    assert (code, out.splitlines()[1]) == (0, "100.0,1,0.01,9.99999999999999e+16")
     # example2's own export: 3^33 ~ 5.6e15 is the first cluster at float spacing 1
     for k, exit_code in (("32", 0), ("33", 3)):
         path = tmp_path / f"ex2_{k}.csv"

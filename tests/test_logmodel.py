@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stripzeros import (
-    HSWitness,
     HelsonSzegoBoundError,
     HilbertLogModel,
     PreconditionError,
@@ -111,11 +110,14 @@ def test_reconstruct_sine_type_band():
 def test_compose_trivial_witnesses():
     grid = template(-150.0, 0.05, 6001)
     zeros = grid.like(np.zeros(grid.n))
-    out = compose_helson_szego(HSWitness(zeros, zeros))
-    assert np.abs(out.weight.values - 1.0).max() <= 1e-9
+    out = compose_helson_szego(zeros, zeros)
+    assert np.abs(np.exp(out.values) - 1.0).max() <= 1e-9
     ones = grid.like(np.ones(grid.n))
-    out = compose_helson_szego(HSWitness(ones, zeros))
-    assert np.abs(out.weight.values - math.e).max() <= 1e-6
+    out = compose_helson_szego(ones, zeros)
+    assert np.abs(np.exp(out.values) - math.e).max() <= 1e-6
+    # a bounded u whose weight exp(710) overflows keeps its finite log weight
+    out = compose_helson_szego(grid.like(np.full(grid.n, 710.0)), zeros)
+    assert np.array_equal(out.values, np.full(grid.n, 710.0))
 
 
 def test_compose_indicator_witness():
@@ -123,11 +125,8 @@ def test_compose_indicator_witness():
     n = int(round(256.0 / h)) + 1
     grid = template(-128.0, h, n)
     v = grid.like(np.where(np.abs(grid.grid) <= 1.0, 1.0, 0.0))
-    out = compose_helson_szego(HSWitness(grid.like(np.zeros(n)), v))
-    assert out.log_weight.value_at(3.0) == pytest.approx(
-        math.log(2.0) / math.pi, abs=1e-4
-    )
-    assert np.allclose(out.weight.values, np.exp(out.log_weight.values))
+    out = compose_helson_szego(grid.like(np.zeros(n)), v)
+    assert out.value_at(3.0) == pytest.approx(math.log(2.0) / math.pi, abs=1e-4)
 
 
 def test_compose_gate_boundary():
@@ -135,9 +134,9 @@ def test_compose_gate_boundary():
     zeros = grid.like(np.zeros(grid.n))
     v_bad = grid.like(np.full(grid.n, HALF_PI))
     with pytest.raises(HelsonSzegoBoundError, match="Helson"):
-        compose_helson_szego(HSWitness(zeros, v_bad))
+        compose_helson_szego(zeros, v_bad)
     v_ok = grid.like(np.full(grid.n, HALF_PI - 1e-9))
-    compose_helson_szego(HSWitness(zeros, v_ok))
+    compose_helson_szego(zeros, v_ok)
 
 
 # ----------------------------------------------------------------------

@@ -52,22 +52,35 @@ def test_tracer_layers_name_package_functions():
 
 
 def test_tracer_counts_the_kernel_pairs_of_the_scan(monkeypatch):
-    # the tracer reads the zeros and the grid of hlf_samples from its
-    # positional arguments, so a change to their shape breaks only traced runs
+    # the tracer reads the zeros and the grid of hlf_samples, and the zeros
+    # and the radius of phi_sum, from their positional arguments, so a change
+    # to their shape breaks only traced runs
     spans = _spans()
-    calls = []
-    hlf_samples = logmodel.hlf_samples
+    calls = {"hlf_samples": [], "phi_sum": []}
 
-    def recorder(*args, **kwargs):
-        calls.append((args, kwargs))
-        return hlf_samples(*args, **kwargs)
+    def record(name):
+        fn = getattr(logmodel, name)
 
-    monkeypatch.setattr(logmodel, "hlf_samples", recorder)
+        def recorder(*args, **kwargs):
+            calls[name].append((args, kwargs, fn(*args, **kwargs)))
+            return calls[name][-1][2]
+
+        monkeypatch.setattr(logmodel, name, recorder)
+
+    record("hlf_samples")
+    record("phi_sum")
     stripzeros.theorem_divergence_scan(
         [(3, stripzeros.cluster_model(3)), (10, stripzeros.sine_type_model(1.0, truncation=10))]
     )
-    assert len(calls) == 2
-    for args, kwargs in calls:
+    assert len(calls["hlf_samples"]) == 2
+    for args, kwargs, _ in calls["hlf_samples"]:
         model, template = args
         want = template.n * len(model.zeros)
         assert spans._kernel_pairs(spans.Tracer(), args, kwargs) == want
+    (counter,) = [c for _, attr, _, c in spans.LAYERS if attr == "phi_sum"]
+    assert len(calls["phi_sum"]) == 2
+    for args, kwargs, result in calls["phi_sum"]:
+        zs, _t, radius = args
+        assert radius is None and not kwargs
+        want = {"argbranch.phi_sum_calls": 1, "argbranch.pair_evals": len(zs)}
+        assert counter(spans.Tracer(), args, kwargs, result) == want

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_csv_matches_per_line_oracle(lines):
 )
 def test_density_profile_matches_brute_force_count(rows, radii, probes):
     def count(a, r):
-        return sum(m for x, _, m in rows if a <= x < a + r)
+        return sum(m for x, _, m in rows if a <= x and Fraction(x) < Fraction(a) + Fraction(r))
 
     prof = upper_density_profile(ZeroSet(*_columns(rows)), radii)
     for r, e in zip(radii, prof):
@@ -407,6 +408,43 @@ def test_window_count_refuses_lengths_within_the_float_spacing():
     with pytest.raises(PreconditionError, match="float spacing 1.0 at"):
         window_count(ZeroSet([-(2.0**52), 0.0], [1.0, 1.0]), 0.0, 1.0)
     assert window_count(ZeroSet([2.0**52 - 1], [1.0]), 2.0**52 - 1, 1.0) == 1
+
+
+_far = st.floats(-(2.0**60), 2.0**60)
+
+
+@settings(deadline=None)
+@given(
+    x=_far,
+    r=st.floats(2.0**-30, 2.0**61),
+    others=st.lists(st.tuples(_far, st.integers(1, 3)), max_size=8),
+    near=st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["x", "end"]),
+                            st.integers(1, 3)), max_size=6),
+)
+# fl(x + r) rounds x + r down onto the second zero, which the rounded end dropped
+@example(x=-8.122808264515303, r=0.23890263495783093, others=[],
+         near=[(0, "x", 1), (0, "end", 1)])
+def test_window_count_equals_exact_count_or_raises(x, r, others, near):
+    # zeros at and beside both window ends, where rounding x + r decides the count
+    rows = list(others)
+    for steps, where, m in near:
+        z = x if where == "x" else x + r
+        for _ in range(abs(steps)):
+            z = math.nextafter(z, math.copysign(math.inf, steps))
+        if abs(z) <= 2.0**60:
+            rows.append((z, m))
+    if not rows:
+        rows = [(x, 1)]
+    zs = ZeroSet([z for z, _ in rows], [1.0] * len(rows), [m for _, m in rows])
+    lo, hi = Fraction(x), Fraction(x) + Fraction(r)
+    exact = sum(m for z, m in rows if lo <= Fraction(z) < hi)
+    far = max(abs(z) for z, _ in rows)
+    try:
+        counts = [window_count(zs, x, r), int(window_count(zs, np.array([x]), r)[0])]
+    except PreconditionError:
+        assert not np.spacing(far) < r
+        return
+    assert counts == [exact, exact]
 
 
 def test_window_count_additive_over_adjacent_windows():
