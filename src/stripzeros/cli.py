@@ -224,7 +224,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     for r in rows:
         if r.tail_bound > 0.01 * max(abs(r.bound), 1e-300):
             print(
-                f"truncation too aggressive at K={r.label}: "
+                f"certified remainder too large at K={r.label}: "
                 f"tail {r.tail_bound:g} vs bound {r.bound:g}",
                 file=sys.stderr,
             )

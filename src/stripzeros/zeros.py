@@ -235,7 +235,11 @@ def upper_density_profile(zs: ZeroSet, radii: Sequence[float]) -> tuple[ProfileE
     at ``{re_i}`` and ``{re_i - r}``, and its sup is attained on that finite
     candidate set, so the scan is exact for finite data.  No limit in ``r``
     is taken: the whole profile is reported.  The witness is the smallest
-    anchor of largest count; as ``0.0 == -0.0``, a witness of zero may
+    *candidate* anchor of largest count, the candidates being ``{re_i}``
+    and the rounded ``{fl(re_i - r)}``, not the smallest float anchor:
+    where ``fl(re_i - r)`` rounds below ``re_i - r`` its window misses
+    ``re_i``, and a float just above it, which is no candidate, may hold as
+    many zeros as the witness.  As ``0.0 == -0.0``, a witness of zero may
     carry either sign.
     """
     entries = []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stripzeros
-from stripzeros import _numutil
+from stripzeros import _numutil, logmodel
 from stripzeros import (
     SampledFunction,
     load_zero_set,
@@ -269,6 +269,18 @@ def test_verify_theorem_stdout_ends_with_control_line(capsys):
     assert lines[3].startswith("# control sine-type (N=200) bound: ")
     assert float(lines[3].rsplit(" ", 1)[1]) > 0
     assert lines[4:] == [""]  # the control line ends the output
+
+
+def test_verify_theorem_exits_3_when_the_two_tier_remainder_is_too_large(monkeypatch, capsys):
+    # every zero beyond 1 of the grid enters at the two end nodes only: the
+    # certified remainder 2E swamps the bound, and the 1% rule stops the scan
+    monkeypatch.setattr(logmodel, "NEAR", 1.0)
+    monkeypatch.setattr(logmodel, "COARSE", 10**6)
+    code, out, err = run(capsys, "verify-theorem", "--model", "sine", "--K", "50")
+    assert code == 3
+    assert "certified remainder too large at K=50: tail " in err
+    row = out.splitlines()[1].split(",")
+    assert row[0] == "50" and float(row[5]) > 0.01 * abs(float(row[1]))
 
 
 # the argv of the benchmark's divergence jobs: the families of the

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stripzeros import logmodel
 from stripzeros import (
     HelsonSzegoBoundError,
     HilbertLogModel,
@@ -17,6 +19,7 @@ from stripzeros import (
     phi,
     phi_sum,
     reconstruct_log_modulus,
+    referee_example1,
     referee_example2,
     shift_to_strip,
     sine_type_model,
@@ -42,15 +45,16 @@ def test_model_rejects_a_negative_indicator_width():
 def test_hlf_single_imaginary_zero():
     model = HilbertLogModel(0.0, ZeroSet([0.0], [1.0]))
     grid = template(-2.0, 0.5, 23)
-    sampled = hlf_samples(model, grid)
+    sampled, err = hlf_samples(model, grid)
     assert sampled.values == pytest.approx(-np.arctan(grid.grid), abs=1e-14)
+    assert err == 0.0
 
 
 def test_hlf_samples_match_pointwise_evaluation():
     zs = ZeroSet([-2.0, 3.0], [0.7, 1.5], [2, 1])
     model = HilbertLogModel(1.0, zs)
     grid = template(-5.0, 0.5, 21)
-    sampled = hlf_samples(model, grid)
+    sampled, _ = hlf_samples(model, grid)
     for i, t in enumerate(grid.grid.tolist()):
         branches = [
             m * phi(complex(x, y), t).value
@@ -66,7 +70,8 @@ def test_hlf_samples_match_pointwise_evaluation():
     )
     model = HilbertLogModel(2 * math.pi, zs)
     grid = template(-25.0, 0.01, 5001)
-    sampled = hlf_samples(model, grid)
+    sampled, err = hlf_samples(model, grid)
+    assert err == 0.0
     base = math.pi * grid.grid
     expected = base - phi_sum(zs, grid.grid, None).value
     tol = 8 * np.finfo(float).eps * (np.abs(base) + math.pi * zs.weight)
@@ -79,6 +84,34 @@ def test_hlf_samples_guard_the_tail_premise():
     model = HilbertLogModel(1.0, ZeroSet([1e-200, 0.0], [1e-200, 1.0]))
     with pytest.raises(PreconditionError, match="outside the exact range"):
         hlf_samples(model, template(-1.0, 0.5, 5))
+
+
+_near_zero = st.tuples(st.floats(-150.0, 150.0), st.floats(0.1, 30.0), st.integers(1, 4))
+_far_zero = st.tuples(
+    st.floats(250.0, 1e12) | st.floats(-1e12, -250.0), st.floats(0.1, 30.0), st.integers(1, 4)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    near=st.lists(_near_zero, max_size=20),
+    far=st.lists(_far_zero, min_size=1, max_size=20),
+    t0=st.floats(-7.5, -5.5),
+    width=st.sampled_from([0.0, 2 * math.pi]),
+)
+def test_two_tier_samples_lie_within_their_certified_error(near, far, t0, width):
+    # on the scan's grid, the far zeros enter by interpolation from every
+    # COARSE-th node; the samples must stay within E of the all-zeros model,
+    # up to the rounding of two sums added in different orders
+    zs = ZeroSet(*(np.array(col) for col in zip(*(near + far))))
+    n = int(round(2.0 * logmodel.SCAN_HALFSPAN / logmodel.SCAN_STEP)) + 1
+    grid = template(t0, logmodel.SCAN_STEP, n)
+    sampled, err = hlf_samples(HilbertLogModel(width, zs), grid)
+    base = 0.5 * width * grid.grid
+    full = base - phi_sum(zs, grid.grid, None).value
+    rounding = 16 * np.finfo(float).eps * (np.abs(base) + math.pi * zs.weight)
+    assert err > 0.0
+    assert (np.abs(sampled.values - full) <= err + rounding).all()
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +258,42 @@ def test_scan_bound_dominates_window_count_guarantee():
         c = growth_constant(model.zeros.alpha, model.zeros.beta)
         linear = 0.5 * model.indicator_width * 0.75
         assert row.bound >= c * row.window_count / 6.0 - linear - 0.05
+
+
+def _all_zeros_scan(monkeypatch, family):
+    # with NEAR infinite no zero is far: every zero enters at every node, the
+    # scan before the two tiers
+    with monkeypatch.context() as m:
+        m.setattr(logmodel, "NEAR", math.inf)
+        return theorem_divergence_scan(family)
+
+
+def test_two_tier_rows_stay_within_their_certified_gap(monkeypatch):
+    # bound = oscillation - 2E and the sweep moves by <= 2E, so a row lies in
+    # [full - 4E, full]; bound + tail_bound is the two-tier sweep itself
+    family = [
+        (400, sine_type_model(1.0, truncation=400)),
+        (1600, sine_type_model(1.0, truncation=1600)),
+        (10, shift_to_strip(referee_example1(10, window=500.0), 1.0)),
+        (25, shift_to_strip(referee_example2(25), 1.0)),
+    ]
+    rows = theorem_divergence_scan(family)
+    for row, full in zip(rows, _all_zeros_scan(monkeypatch, family)):
+        rounding = 1e-12 * full.bound
+        assert 0.0 < row.tail_bound < 1e-6
+        assert full.bound - 2.0 * row.tail_bound - rounding <= row.bound
+        assert row.bound <= full.bound + rounding
+        assert abs(row.bound + row.tail_bound - full.bound) <= row.tail_bound + rounding
+        assert (row.window_count, row.witness) == (full.window_count, full.witness)
+
+
+def test_two_tier_keeps_the_cluster_rows_and_the_top_example2_bound(monkeypatch):
+    # a cluster is one zero, always near: its rows are the all-zeros rows;
+    # example2 K=30 has far zeros (the nearest 3^10 away), whose interpolation
+    # leaves its bound's bits as they were
+    family = [(k, cluster_model(k)) for k in (12, 60, 120, 240)]
+    assert theorem_divergence_scan(family) == _all_zeros_scan(monkeypatch, family)
+    family = [(30, shift_to_strip(referee_example2(30), 1.0))]
+    (row,), (full,) = theorem_divergence_scan(family), _all_zeros_scan(monkeypatch, family)
+    assert (row.bound, row.witness, row.window_count) == (full.bound, full.witness, 24)
+    assert 0.0 < row.tail_bound < 1e-15

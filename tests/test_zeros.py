@@ -371,6 +371,19 @@ def test_density_profile_matches_the_unique_anchor_scan(rows, radii):
         assert e.witness == float(anchors[best])
 
 
+def test_density_witness_is_the_smallest_candidate_anchor():
+    # fl(9.408008756509071 - r) rounds below the exact difference, so its
+    # window misses that zero; the float above it holds both zeros but is no
+    # candidate, and the witness stays the smaller zero's own anchor
+    zs = ZeroSet([8.86112211144735, 9.408008756509071], [1.0, 1.0])
+    r = 0.5601947975329254
+    e = upper_density_profile(zs, [r])[0]
+    assert (e.sup_count, e.witness) == (2, 8.86112211144735)
+    assert window_count(zs, 9.408008756509071 - r, r) == 1
+    assert window_count(zs, 8.847813958976147, r) == 2
+    assert 9.408008756509071 - r < 8.847813958976147 < e.witness
+
+
 # ----------------------------------------------------------------------
 # window counts
 
