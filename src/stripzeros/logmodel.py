@@ -43,8 +43,9 @@ SCAN_HALFSPAN = 6.5
 SCAN_STEP = 0.005
 
 # two-tier samples (hlf_samples): zeros whose re lies beyond NEAR of the grid
-# enter at every COARSE-th node only, at a certified interpolation error
-NEAR = 200.0
+# enter at every COARSE-th node only, carried onto the grid by a cubic with a
+# certified interpolation error
+NEAR = 16.0
 COARSE = 64
 
 
@@ -66,6 +67,28 @@ class HilbertLogModel:
             )
 
 
+def _cubic_stencils(coarse: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cubic Lagrange weights of nodes ``0..n-1`` on the coarse nodes ``coarse``.
+
+    A node's stencil is the four coarse nodes around its cell, clamped to
+    the first four or the last four at the ends.  Returns the stencils
+    (indices into ``coarse``, shape ``(n, 4)``), the weights, and the
+    largest ``|prod (j - c)|`` of a node ``j`` over its own stencil.  All of
+    it is in node units: the products are exact integers, so each weight is
+    one rounded quotient, 1 and 0 at a coarse node.
+    """
+    j = np.arange(n)
+    cell = np.searchsorted(coarse, j, side="right") - 1
+    stencils = np.clip(cell - 1, 0, coarse.size - 4)[:, None] + np.arange(4)
+    c = coarse[stencils].T
+    d = j - c
+    weights = np.empty((n, 4))
+    for a in range(4):
+        p, q, r = (b for b in range(4) if b != a)
+        weights[:, a] = d[p] * d[q] * d[r] / ((c[a] - c[p]) * (c[a] - c[q]) * (c[a] - c[r]))
+    return stencils, weights, float(np.abs(d[0] * d[1] * d[2] * d[3]).max())
+
+
 def hlf_samples(
     model: HilbertLogModel, template: SampledFunction
 ) -> tuple[SampledFunction, float]:
@@ -73,19 +96,26 @@ def hlf_samples(
 
     Zeros whose ``re`` lies within ``NEAR`` of the grid interval enter the
     branch sum at every node.  The sum over the other, far zeros is taken at
-    every ``COARSE``-th node and the last, and carried linearly onto the
-    grid.  As ``|phi_z''(t)| <= 2*y/|t - x|^3``, that interpolant is off by
-    at most ``E = (H^2/8) * sum 2*mult*y/d^3`` at every node, where ``H`` is
-    the widest coarse cell and ``d`` a far zero's distance to the grid
-    interval, so the samples lie within E (and rounding) of the full sum's.
-    With no far zero every zero enters at every node and E is ``0.0``.
+    every ``COARSE``-th node and the last, and carried onto the grid by the
+    cubic through the four coarse nodes around each cell (see
+    :func:`_cubic_stencils`).  That cubic is off by ``f''''(xi)*omega(t)/4!``,
+    where ``omega(t)`` is the product of ``t - c`` over the node's stencil,
+    and ``|phi_z''''(t)| <= 24*y/|t - x|^5``, since ``phi_z' = -Im 1/(s + iy)``
+    with ``s = t - x`` and ``|sin 4a| <= 4|sin a|``.  So the samples lie
+    within ``E = max|omega| * sum mult*y/d^5`` (and rounding) of the full
+    sum's, where ``d`` is a far zero's distance to the grid interval.  With
+    no far zero, or fewer than four coarse nodes, every zero enters at every
+    node and E is ``0.0``.
     """
     ts = template.grid
     zs = model.zeros
     lo, hi = float(ts[0]), float(ts[-1])
+    coarse = np.unique(np.append(np.arange(0, ts.size, COARSE), ts.size - 1))
     # zs.res is sorted, so the near zeros are one slice
     i = int(np.searchsorted(zs.res, lo - NEAR, side="left"))
     j = int(np.searchsorted(zs.res, hi + NEAR, side="right"))
+    if coarse.size < 4:
+        i, j = 0, len(zs)
     branches, err = np.zeros(ts.size), 0.0
     if i < j:
         near = zs if j - i == len(zs) else ZeroSet(zs.res[i:j], zs.ims[i:j], zs.mults[i:j])
@@ -93,12 +123,13 @@ def hlf_samples(
     if j - i < len(zs):
         far = np.r_[0:i, j : len(zs)]
         res, ims, mults = zs.res[far], zs.ims[far], zs.mults[far]
-        coarse = np.unique(np.append(np.arange(0, ts.size, COARSE), ts.size - 1))
         far_branches = phi_sum(ZeroSet(res, ims, mults), ts[coarse], None).value
-        branches = branches + np.interp(ts, ts[coarse], far_branches)
+        stencils, weights, omega = _cubic_stencils(coarse, ts.size)
+        branches = branches + (weights * far_branches[stencils]).sum(axis=1)
         d = np.where(res < lo, lo - res, res - hi)
-        cell = template.h * float(np.diff(coarse).max(initial=0))
-        err = cell * cell / 8.0 * float(np.sum(2.0 * mults * ims / d / d / d))
+        h = template.h
+        # y/d^5 as a chain of divisions, since d^5 overflows from d ~ 1e61
+        err = omega * h * h * h * h * float(np.sum(mults * ims / d / d / d / d / d))
     return template.like(0.5 * model.indicator_width * ts - branches), err
 
 

@@ -272,10 +272,11 @@ def test_verify_theorem_stdout_ends_with_control_line(capsys):
 
 
 def test_verify_theorem_exits_3_when_the_two_tier_remainder_is_too_large(monkeypatch, capsys):
-    # every zero beyond 1 of the grid enters at the two end nodes only: the
-    # certified remainder 2E swamps the bound, and the 1% rule stops the scan
+    # every zero beyond 1 of the grid enters at five coarse nodes only (every
+    # 650th of 2601), with cells of 3.25: the certified remainder 2E swamps
+    # the bound, and the 1% rule stops the scan
     monkeypatch.setattr(logmodel, "NEAR", 1.0)
-    monkeypatch.setattr(logmodel, "COARSE", 10**6)
+    monkeypatch.setattr(logmodel, "COARSE", 650)
     code, out, err = run(capsys, "verify-theorem", "--model", "sine", "--K", "50")
     assert code == 3
     assert "certified remainder too large at K=50: tail " in err
@@ -291,6 +292,35 @@ VERIFY_FAMILIES = [
     ["--model", "example2", "--K", "10,15,20,25,30", "--thresholds", "5"],
     ["--model", "sine", "--K", "400,1600"],
 ]
+
+
+def test_the_scan_keeps_its_kernel_work_small(monkeypatch, capsys):
+    # the zero-node pairs of every branch sum the scan takes over the
+    # benchmark's divergence jobs: 1 026 921 with near zeros within 16 of the
+    # grid and the cubic far tier, 4 834 713 with the near tier at 200
+    pairs = []
+    branch_sum = logmodel.phi_sum
+
+    def counted(zs, t, truncation_radius):
+        pairs.append(len(zs) * np.size(t))
+        return branch_sum(zs, t, truncation_radius)
+
+    monkeypatch.setattr(logmodel, "phi_sum", counted)
+    for argv in VERIFY_FAMILIES:
+        assert run(capsys, "verify-theorem", *argv)[0] == 0
+    assert 0 < sum(pairs) <= 1_500_000
+
+
+def test_verify_theorem_reaches_the_top_of_example2s_float_range(capsys):
+    # 3^322 is the last power below phi_sum's 2^511 range; the far zeros'
+    # y/d^5 underflows there rather than overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify-theorem", "--model", "example2", "--K", "322")
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    assert row[0] == "322" and math.isfinite(float(row[1]))
+    assert math.isfinite(float(row[5])) and float(row[5]) >= 0.0
 
 
 def test_outputs_are_bit_identical_on_any_cpu_count(tmp_path, monkeypatch, capsys):

@@ -50,7 +50,7 @@ def test_hlf_single_imaginary_zero():
     assert err == 0.0
 
 
-def test_hlf_samples_match_pointwise_evaluation():
+def test_hlf_samples_match_pointwise_evaluation(monkeypatch):
     zs = ZeroSet([-2.0, 3.0], [0.7, 1.5], [2, 1])
     model = HilbertLogModel(1.0, zs)
     grid = template(-5.0, 0.5, 21)
@@ -63,7 +63,9 @@ def test_hlf_samples_match_pointwise_evaluation():
         expected = 0.5 * t - math.fsum(branches)
         assert sampled.values[i] == pytest.approx(expected, abs=1e-12)
     # more zeros and nodes than one kernel block: samples equal the linear
-    # term minus the array branch sum up to the order of subtraction
+    # term minus the array branch sum up to the order of subtraction; with
+    # NEAR infinite every zero enters at every node, through the block path
+    monkeypatch.setattr(logmodel, "NEAR", math.inf)
     rng = np.random.default_rng(8)
     zs = ZeroSet(
         rng.uniform(-60, 60, 600), rng.uniform(0.2, 3.0, 600), rng.integers(1, 4, 600)
@@ -86,32 +88,113 @@ def test_hlf_samples_guard_the_tail_premise():
         hlf_samples(model, template(-1.0, 0.5, 5))
 
 
-_near_zero = st.tuples(st.floats(-150.0, 150.0), st.floats(0.1, 30.0), st.integers(1, 4))
-_far_zero = st.tuples(
-    st.floats(250.0, 1e12) | st.floats(-1e12, -250.0), st.floats(0.1, 30.0), st.integers(1, 4)
-)
+@pytest.mark.parametrize("n, step", [(2601, 64), (200, 64), (4, 1), (11, 3)])
+def test_cubic_stencils_carry_cubics_exactly(n, step):
+    # loop reference: each node's stencil is four consecutive coarse nodes
+    # around its cell (the first or last four at the ends), its weights carry
+    # any cubic up to rounding (one-hot at a coarse node), and omega is the
+    # largest |prod (j - c)|
+    coarse = np.unique(np.append(np.arange(0, n, step), n - 1))
+    stencils, weights, omega = logmodel._cubic_stencils(coarse, n)
+    products = []
+    for j in range(n):
+        cell = max(k for k, ck in enumerate(coarse) if ck <= j)
+        first = min(max(cell - 1, 0), coarse.size - 4)
+        assert list(stencils[j]) == [first, first + 1, first + 2, first + 3]
+        c = coarse[stencils[j]]
+        if j in coarse:
+            assert list(weights[j]) == [float(ci == j) for ci in c]
+        for k in range(4):
+            assert weights[j] @ (c / n) ** k == pytest.approx((j / n) ** k, abs=1e-12)
+        products.append(abs(math.prod(int(j - ci) for ci in c)))
+    assert omega == max(products)
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    near=st.lists(_near_zero, max_size=20),
-    far=st.lists(_far_zero, min_size=1, max_size=20),
-    t0=st.floats(-7.5, -5.5),
-    width=st.sampled_from([0.0, 2 * math.pi]),
+def test_hlf_samples_take_every_zero_on_fewer_than_four_coarse_nodes():
+    # 129 nodes have the coarse nodes 0, 64 and 128 only: no cubic, so the
+    # far zeros enter at every node and E is 0; 193 nodes have four
+    zs = ZeroSet([-300.0, 0.5, 400.0], [1.0, 2.0, 3.0], [1, 2, 1])
+    model = HilbertLogModel(1.0, zs)
+    grid = template(-1.0, 0.01, 129)
+    sampled, err = hlf_samples(model, grid)
+    full = 0.5 * grid.grid - phi_sum(zs, grid.grid, None).value
+    assert err == 0.0 and sampled.values.tobytes() == full.tobytes()
+    assert hlf_samples(model, template(-1.0, 0.01, 193))[1] > 0.0
+
+
+# the scan's grids below start in [-7.5, -5.5] and span 13: a zero with |re|
+# within 5.5 + NEAR is near all of them, one beyond 7.5 + NEAR far from all
+_NEAR_EDGE = 5.5 + logmodel.NEAR
+_FAR_EDGE = 7.5 + logmodel.NEAR
+_near_re = st.floats(-_NEAR_EDGE, _NEAR_EDGE)
+_far_re = st.builds(
+    lambda side, gap: side * (_FAR_EDGE + gap),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(1e-3, 8.0) | st.floats(8.0, 1e12),
 )
-def test_two_tier_samples_lie_within_their_certified_error(near, far, t0, width):
-    # on the scan's grid, the far zeros enter by interpolation from every
-    # COARSE-th node; the samples must stay within E of the all-zeros model,
-    # up to the rounding of two sums added in different orders
-    zs = ZeroSet(*(np.array(col) for col in zip(*(near + far))))
+_mult = st.integers(1, 4)
+
+
+def _scan_grid(t0):
     n = int(round(2.0 * logmodel.SCAN_HALFSPAN / logmodel.SCAN_STEP)) + 1
-    grid = template(t0, logmodel.SCAN_STEP, n)
+    return template(t0, logmodel.SCAN_STEP, n)
+
+
+def _two_tier_error(zeros, grid, width):
+    # the samples must stay within E of the all-zeros model, up to the
+    # rounding of two sums added in different orders; returns E
+    zs = ZeroSet(*(np.array(col) for col in zip(*zeros)))
     sampled, err = hlf_samples(HilbertLogModel(width, zs), grid)
     base = 0.5 * width * grid.grid
     full = base - phi_sum(zs, grid.grid, None).value
     rounding = 16 * np.finfo(float).eps * (np.abs(base) + math.pi * zs.weight)
     assert err > 0.0
     assert (np.abs(sampled.values - full) <= err + rounding).all()
+    return err
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    near=st.lists(st.tuples(_near_re, st.floats(0.1, 30.0), _mult), max_size=20),
+    far=st.lists(st.tuples(_far_re, st.floats(0.1, 30.0), _mult), min_size=1, max_size=20),
+    t0=st.floats(-7.5, -5.5),
+    width=st.sampled_from([0.0, 2 * math.pi]),
+)
+def test_two_tier_samples_lie_within_their_certified_error(near, far, t0, width):
+    # on the scan's grid, the far zeros enter by cubic interpolation from
+    # every COARSE-th node
+    _two_tier_error(near + far, _scan_grid(t0), width)
+
+
+@st.composite
+def _strip_zeros(draw):
+    # heights in the strip 1 <= y <= Q; near zeros within NEAR of the grid,
+    # far zeros from just beyond it
+    heights = st.floats(1.0, draw(st.floats(1.0, 8.0)))
+    near = draw(st.lists(st.tuples(_near_re, heights, _mult), max_size=20))
+    far = draw(st.lists(st.tuples(_far_re, heights, _mult), min_size=2, max_size=8))
+    return near, far
+
+
+@settings(deadline=None, max_examples=40)
+@given(zeros=_strip_zeros(), t0=st.floats(-7.5, -5.5))
+def test_cubic_remainder_uses_each_zero_of_a_mixed_height_strip(zeros, t0):
+    # E = max|omega| * sum mult*y/d^5 with each far zero's own y: one far zero
+    # alone gives its own share, omega is the same for each and at most
+    # H^4 for coarse cells of H (the clamped end cell's max|x(x-1)(x-2)(x-3)|
+    # is 1), and the shares add up to E
+    near, far = zeros
+    grid = _scan_grid(t0)
+    err = _two_tier_error(near + far, grid, 2 * math.pi)
+    lo, hi = float(grid.grid[0]), float(grid.grid[-1])
+    cell = logmodel.COARSE * logmodel.SCAN_STEP
+    shares = []
+    for x, y, m in far:
+        d = lo - x if x < lo else x - hi
+        _, share = hlf_samples(HilbertLogModel(0.0, ZeroSet([x], [y], [m])), grid)
+        assert 0.999 * cell**4 <= share / (m * y / d**5) <= cell**4 * (1 + 1e-12)
+        shares.append(share)
+    assert err == pytest.approx(math.fsum(shares), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
