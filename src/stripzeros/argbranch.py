@@ -203,9 +203,10 @@ def _branch_sum(res, ims, weights, ts) -> np.ndarray:
 def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
     """Multiplicity-weighted branch sum over ``|z| <= truncation_radius``.
 
-    ``t`` is a scalar or an array of nodes; a radius of ``None`` keeps every
-    zero, taking ``max(2*max|t| + 1, max|z| + 1)``.  For an omitted zero,
-    ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so
+    ``t`` is a scalar or an array of nodes.  A radius of ``None`` keeps
+    every zero: the sum runs over the set's own arrays and the tail bound
+    is exactly ``0.0``.  A given radius must exceed ``2*max|t|``.  For an
+    omitted zero, ``|z| > 2|t|`` forces ``|z|^2 - x*t > |z|^2/2 > 0``, so
     ``|phi_z(t)| <= 2*|t|*y/|z|^2``; the omitted terms are therefore bounded
     by ``2*|t|`` times ``sum mult * y/|z|^2`` over the omitted zeros, which
     is summed here from the same radii ``|z|`` that pick the kept zeros.
@@ -214,22 +215,26 @@ def phi_sum(zs: ZeroSet, t, truncation_radius: float | None) -> PhiSumResult:
     """
     ts = np.asarray(t, dtype=float)
     t_abs = float(np.abs(ts).max())
-    radii = np.hypot(zs.res, zs.ims)
     if truncation_radius is None:
-        truncation_radius = max(2.0 * t_abs + 1.0, float(radii.max()) + 1.0)
+        # zs.res is sorted, so its ends hold the largest |x|
+        res, ims, mults, remainder = zs.res, zs.ims, zs.mults, 0.0
+        x_abs, y_lo, y_hi = max(abs(float(res[0])), abs(float(res[-1]))), zs.alpha, zs.beta
     elif not truncation_radius > 2.0 * t_abs:
         raise TruncationError(
             f"truncation radius {truncation_radius} too small: "
             f"needs > 2|t| = {2.0 * t_abs}"
         )
-    keep = radii <= truncation_radius
-    res, ims = zs.res[keep], zs.ims[keep]
-    y_lo, y_hi = float(ims.min(initial=np.inf)), float(ims.max(initial=-np.inf))
-    _check_range(float(np.abs(res).max(initial=0.0)), y_lo, y_hi, t_abs)
-    value = _branch_sum(res, ims, zs.mults[keep], ts.ravel())
-    omit = ~keep
-    r = radii[omit]  # im/r/r: re**2 would overflow beyond |Re z| ~ 1.3e154
-    remainder = float(np.sum(zs.ims[omit] / r / r * zs.mults[omit]))
+    else:
+        radii = np.hypot(zs.res, zs.ims)
+        keep = radii <= truncation_radius
+        res, ims, mults = zs.res[keep], zs.ims[keep], zs.mults[keep]
+        x_abs = float(np.abs(res).max(initial=0.0))
+        y_lo, y_hi = float(ims.min(initial=np.inf)), float(ims.max(initial=-np.inf))
+        omit = ~keep
+        r = radii[omit]  # im/r/r: re**2 would overflow beyond |Re z| ~ 1.3e154
+        remainder = float(np.sum(zs.ims[omit] / r / r * zs.mults[omit]))
+    _check_range(x_abs, y_lo, y_hi, t_abs)
+    value = _branch_sum(res, ims, mults, ts.ravel())
     tail = TAIL_CONSTANT * np.abs(ts) * remainder
     if ts.ndim == 0:
         return PhiSumResult(float(value[0]), float(tail))

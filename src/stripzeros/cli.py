@@ -1,7 +1,9 @@
 """Command-line interface: offline analyses emitting CSV reports.
 
 Exit codes: 0 success, 2 input error, 3 numeric-precondition failure.
-All outputs are plain CSV (plot-ready data, no rendering).
+All outputs are plain CSV (plot-ready data, no rendering), written to
+``--out PATH`` or, without it, to standard output.  The argument parser
+is built once, at import, and every call of :func:`main` reuses it.
 """
 
 from __future__ import annotations
@@ -258,12 +260,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, default="1" if flag == "--shift" else None)
-        p.add_argument("--out", default=sys.stdout)
+        p.add_argument("--out")
     return parser
 
 
+# built once per process: parsing reads it and changes nothing in it
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command of ``argv`` (default ``sys.argv[1:]``); returns the exit code.
+
+    Without ``--out`` the report goes to the ``sys.stdout`` of this call,
+    so a redirect made between calls is honoured.
+    """
+    args = _PARSER.parse_args(argv)
+    if args.out is None:
+        args.out = sys.stdout
     try:
         return args.handler(args)
     except (InputFormatError, OSError) as exc:

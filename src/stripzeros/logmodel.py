@@ -118,12 +118,12 @@ def hlf_samples(
         i, j = 0, len(zs)
     branches, err = np.zeros(ts.size), 0.0
     if i < j:
-        near = zs if j - i == len(zs) else ZeroSet(zs.res[i:j], zs.ims[i:j], zs.mults[i:j])
+        near = zs if j - i == len(zs) else zs._select(slice(i, j))
         branches = phi_sum(near, ts, None).value
     if j - i < len(zs):
-        far = np.r_[0:i, j : len(zs)]
-        res, ims, mults = zs.res[far], zs.ims[far], zs.mults[far]
-        far_branches = phi_sum(ZeroSet(res, ims, mults), ts[coarse], None).value
+        far = zs._select(np.r_[0:i, j : len(zs)])
+        res, ims, mults = far.res, far.ims, far.mults
+        far_branches = phi_sum(far, ts[coarse], None).value
         stencils, weights, omega = _cubic_stencils(coarse, ts.size)
         branches = branches + (weights * far_branches[stencils]).sum(axis=1)
         d = np.where(res < lo, lo - res, res - hi)

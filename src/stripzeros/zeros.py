@@ -92,16 +92,33 @@ class ZeroSet:
         self._re = re[order]
         self._im = im[order]
         self._mult = mult[order].astype(np.int64)
-        # prefix sums of multiplicity for O(log n) window counts; each mult is
-        # below 2^63, so a partial sum past the int64 range wraps negative
-        self._cum = np.concatenate(([0], np.cumsum(self._mult)))
+        self._seal()
         if self._cum.min() < 0:
             total = sum(self._mult.tolist())
             raise PreconditionError(f"total multiplicity must be < 2^63, got {total}")
+
+    def _seal(self) -> None:
+        """Form ``_cum``, ``alpha`` and ``beta`` of the sorted arrays; make all read-only."""
+        # prefix sums of multiplicity for O(log n) window counts; each mult is
+        # below 2^63, so a partial sum past the int64 range wraps negative
+        self._cum = np.concatenate(([0], np.cumsum(self._mult)))
         for a in (self._re, self._im, self._mult, self._cum):
             a.flags.writeable = False
         self.alpha = float(self._im.min())
         self.beta = float(self._im.max())
+
+    def _select(self, idx) -> ZeroSet:
+        """The zeros at ``idx``: a slice or increasing indices, selecting at least one.
+
+        The selection of a sorted, validated set is sorted and valid, and its
+        total multiplicity is at most this set's, so it is neither checked
+        nor sorted again; a slice shares this set's arrays.  The result
+        equals ``ZeroSet(self.res[idx], self.ims[idx], self.mults[idx])``.
+        """
+        sub = ZeroSet.__new__(ZeroSet)
+        sub._re, sub._im, sub._mult = self._re[idx], self._im[idx], self._mult[idx]
+        sub._seal()
+        return sub
 
     def __len__(self) -> int:
         return len(self._re)

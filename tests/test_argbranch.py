@@ -514,6 +514,28 @@ def test_phi_sum_rejects_a_nonfinite_sum():
             phi_sum(ZeroSet([1.0], [1e308]), np.array([0.0, 2.0]), None)
 
 
+def test_phi_sum_keeping_every_zero_matches_a_covering_radius():
+    # None takes no radii; a radius beyond every |z| keeps the same zeros
+    rng = np.random.default_rng(11)
+    n = 300
+    zs = ZeroSet(
+        rng.uniform(-60, 60, n), rng.choice([0.3, 1.0, 2.5], n), rng.integers(1, 4, n)
+    )
+    radius = 2.0 * float(np.hypot(zs.res, zs.ims).max())
+    ts = np.linspace(-20.0, 20.0, 81)
+    for t in (ts, ts.reshape(9, 9), 3.5):
+        kept, covered = phi_sum(zs, t, None), phi_sum(zs, t, radius)
+        assert np.asarray(kept.value).tobytes() == np.asarray(covered.value).tobytes()
+        tail = np.asarray(kept.tail_bound)
+        assert tail.tobytes() == np.asarray(covered.tail_bound).tobytes()
+        assert tail.tobytes() == np.zeros(np.shape(t)).tobytes()  # +0.0 throughout
+    # the range rule reads |x| at both ends of the sorted zeros
+    assert phi_sum(ZeroSet([-BIG, BIG], [1.0, 1.0]), 0.0, None).value == 0.0
+    for x in (-math.nextafter(BIG, math.inf), math.nextafter(BIG, math.inf)):
+        with pytest.raises(PreconditionError, match="outside the exact range"):
+            phi_sum(ZeroSet([x, 0.0], [1.0, 1.0]), 0.0, None)
+
+
 def test_phi_sum_tail_bound_is_certified():
     rng = np.random.default_rng(6)
     zs = ZeroSet(

@@ -1,5 +1,7 @@
 """End-to-end command-line runs and exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import shlex
@@ -15,6 +17,7 @@ import stripzeros
 from stripzeros import _numutil, logmodel
 from stripzeros import (
     SampledFunction,
+    ZeroSet,
     load_zero_set,
     referee_example2,
     save_zero_set,
@@ -311,6 +314,26 @@ def test_the_scan_keeps_its_kernel_work_small(monkeypatch, capsys):
     assert 0 < sum(pairs) <= 1_500_000
 
 
+def test_the_scan_validates_each_row_at_most_twice(monkeypatch, capsys):
+    # the model's set and the row's relative set; the near and far tiers
+    # select from the latter (59 validations on these 18 rows when they did not)
+    calls = []
+    init = ZeroSet.__init__
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(ZeroSet, "__init__", counted)
+    rows = 0
+    for argv in VERIFY_FAMILIES:
+        code, out, _ = run(capsys, "verify-theorem", *argv)
+        assert code == 0
+        rows += len(out.splitlines()) - 1  # the K rows and the control line
+    assert rows == 18
+    assert 0 < len(calls) <= 2 * rows
+
+
 def test_verify_theorem_reaches_the_top_of_example2s_float_range(capsys):
     # 3^322 is the last power below phi_sum's 2^511 range; the far zeros'
     # y/d^5 underflows there rather than overflowing
@@ -347,6 +370,20 @@ def test_outputs_are_bit_identical_on_any_cpu_count(tmp_path, monkeypatch, capsy
         outputs.append(runs)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_the_parser_is_reused_across_calls(capsys):
+    # each call writes to its own sys.stdout, and a flag one call gives is
+    # not the next call's default
+    argv = ["zoo", "--model", "cluster", "--K", "3"]
+    first, second = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(first):
+        assert main([*argv, "--shift", "2"]) == 0
+    with contextlib.redirect_stdout(second):
+        assert main(argv) == 0
+    assert (first.getvalue(), second.getvalue()) == ("0.5,2.0,3\n", "0.5,1.0,3\n")
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out) == (2, "") and "No such file or directory: ''" in err
 
 
 def test_zoo_round_trip_bit_exact(tmp_path, capsys):

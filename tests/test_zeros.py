@@ -259,6 +259,32 @@ def test_constructor_permutation_is_one_lexsort(rows):
 
 
 @settings(deadline=None)
+@given(rows=_rows, data=st.data())
+def test_selection_equals_the_constructed_subset(rows, data):
+    # a slice [i:j] and its complement, taken without re-validating or re-sorting
+    zs = ZeroSet(*_columns(rows))
+    n = len(zs)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    anchors = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+    selections = [slice(i, j)] + ([np.r_[0:i, j:n]] if j - i < n else [])
+    for idx in selections:
+        sub = zs._select(idx)
+        ref = ZeroSet(zs.res[idx], zs.ims[idx], zs.mults[idx])
+        assert sub == ref
+        for a, b in ((sub.res, ref.res), (sub.ims, ref.ims), (sub.mults, ref.mults)):
+            assert a.tobytes() == b.tobytes()
+        assert (sub.weight, sub.alpha, sub.beta) == (ref.weight, ref.alpha, ref.beta)
+        assert not any(a.flags.writeable for a in (sub.res, sub.ims, sub.mults, sub._cum))
+        assert sub._cum.tobytes() == ref._cum.tobytes()
+        # unit windows count exactly while the float spacing of every zero is below 1
+        if np.spacing(max(abs(ref.res[0]), abs(ref.res[-1]))) < 1.0:
+            xs = np.concatenate((anchors, ref.res, ref.res - 1.0))
+            assert np.array_equal(window_count(sub, xs, 1.0), window_count(ref, xs, 1.0))
+    assert np.shares_memory(zs._select(slice(i, j)).res, zs.res)
+
+
+@settings(deadline=None)
 @given(rows=_rows)
 def test_round_trip_is_bit_exact_property(rows):
     zs = ZeroSet(*_columns(rows))
